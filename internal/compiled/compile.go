@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bfbdd/internal/core"
+	"bfbdd/internal/levelfmt"
 	"bfbdd/internal/node"
 )
 
@@ -22,14 +23,9 @@ func Compile(k *core.Kernel, var2level []int, roots []Root) (*Func, error) {
 	if len(var2level) != L {
 		return nil, fmt.Errorf("compiled: var2level has %d entries for %d levels", len(var2level), L)
 	}
-	level2var := make([]int, L)
-	seen := make([]bool, L)
-	for v, l := range var2level {
-		if l < 0 || l >= L || seen[l] {
-			return nil, fmt.Errorf("compiled: variable order is not a permutation of [0,%d)", L)
-		}
-		level2var[l] = v
-		seen[l] = true
+	level2var, ok := levelfmt.InvertOrder(var2level)
+	if !ok {
+		return nil, fmt.Errorf("compiled: variable order is not a permutation of [0,%d)", L)
 	}
 	refs := make([]node.Ref, len(roots))
 	for i, rt := range roots {
@@ -43,54 +39,37 @@ func Compile(k *core.Kernel, var2level []int, roots []Root) (*Func, error) {
 		return nil, err
 	}
 	if uint64(len(order)) > maxNodes {
-		return nil, fmt.Errorf("%w: %d nodes", ErrTooLarge, len(order))
+		return nil, fmt.Errorf("compiled: %w: %d nodes", ErrTooLarge, len(order))
 	}
 
 	idx := make(map[node.Ref]uint32, len(order))
 	for i, r := range order {
 		idx[r] = uint32(i)
 	}
-	child := func(c node.Ref) uint32 {
+	code := func(c node.Ref) uint64 {
 		switch {
 		case c.IsZero():
-			return termZero
+			return levelfmt.Zero
 		case c.IsOne():
-			return termOne
+			return levelfmt.One
 		default:
-			return idx[c]
+			return uint64(idx[c])
 		}
-	}
-
-	st := k.Store()
-	nodes := make([]packed, len(order))
-	var segs []segment
-	for i, r := range order {
-		lvl := r.Level()
-		if len(segs) == 0 || segs[len(segs)-1].level != lvl {
-			if len(segs) > 0 {
-				segs[len(segs)-1].end = uint32(i)
-			}
-			segs = append(segs, segment{level: lvl, varIdx: level2var[lvl], start: uint32(i)})
-		}
-		nd := st.Node(r)
-		nodes[i] = packed{lo: child(nd.Low), hi: child(nd.High)}
-	}
-	if len(segs) > 0 {
-		segs[len(segs)-1].end = uint32(len(nodes))
-	}
-
-	frs := make([]funcRoot, len(roots))
-	for i, rt := range roots {
-		frs[i] = funcRoot{id: rt.ID, node: child(rt.Ref)}
 	}
 
 	f := &Func{
 		numVars:   L,
-		nodes:     nodes,
-		segs:      segs,
-		roots:     frs,
+		nodes:     make([]packed, 0, len(order)),
 		var2level: append([]int(nil), var2level...),
 		level2var: level2var,
+	}
+	st := k.Store()
+	for _, r := range order {
+		nd := st.Node(r)
+		f.fill(r.Level(), code(nd.Low), code(nd.High))
+	}
+	for _, rt := range roots {
+		f.roots = append(f.roots, funcRoot{id: rt.ID, node: uint32(code(rt.Ref))})
 	}
 	f.buildVarOf()
 	return f, nil

@@ -8,177 +8,73 @@
 // interaction with the Manager that produced it — artifacts outlive their
 // manager entirely.
 //
-// The wire format mirrors the snapshot format's framing (versioned,
-// CRC-checksummed header; kind/length/payload/crc sections; typed,
-// panic-free decode for hostile bytes) but inverts the direction: level
-// segments appear in strictly ASCENDING level order (top-down, the order
-// evaluation walks), and every child reference points strictly forwards
-// in the stream — past the end of its own segment — which both encodes
-// the BDD's level discipline and guarantees termination of any walk over
-// a decoded artifact, hostile or not.
-//
-// Layout:
-//
-//	header (32 bytes, fixed):
-//	  magic      [8]byte  "BFBDFUNC"
-//	  version    uint16
-//	  flags      uint16   (bit 0: delta-encoded child refs)
-//	  numVars    uint32
-//	  numRoots   uint32
-//	  totalNodes uint64
-//	  headerCRC  uint32   (IEEE CRC-32 of the 28 preceding bytes)
-//
-//	then sections, each: kind uint8, length uint32 LE, payload, crc uint32
-//	(IEEE CRC-32 of payload). Kinds: 1 varorder, 2 level segment, 3 roots,
-//	4 end.
-//
-//	varorder payload: numVars × uvarint(level of variable v) — a
-//	  permutation of [0, numVars).
-//	level-segment payload: uvarint(level), uvarint(count), then count ×
-//	  (uvarint low, uvarint high). Segments appear in strictly increasing
-//	  level order. Node stream indices are implicit: 0, 1, 2, … across all
-//	  segments.
-//	roots payload: numRoots × (uvarint id, uvarint node), node raw-encoded.
-//	end payload: empty; marks a complete stream.
-//
-// Child/root encoding: 0 is the Zero terminal, 1 is the One terminal.
-// With delta refs (flag bit 0), a child of the node at stream index cur
-// encodes as 1 + (child - cur) — children are strictly forward, so the
-// delta is ≥ 1 and the encoding ≥ 2, disjoint from the terminals.
-// Without delta refs, and always in the roots section, a node encodes as
-// 2 + child.
+// Artifacts serialize as BFBDFUNC streams, the ascending direction of
+// the shared level-major codec (see bfbdd/internal/levelfmt for the
+// layout): segments run top level first, the order evaluation walks, and
+// every child reference points forwards past the end of its own segment,
+// which both encodes the BDD's level discipline and guarantees
+// termination of any walk over a decoded artifact, hostile or not.
 package compiled
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 
+	"bfbdd/internal/levelfmt"
 	"bfbdd/internal/node"
 )
 
 // Magic identifies a compiled-function stream.
 const Magic = "BFBDFUNC"
 
+// format is the compiled-artifact instance of the shared codec.
+var format = levelfmt.Format{Magic: Magic, MaxNodes: maxNodes}
+
 // Version is the format version this package writes.
-const Version = 1
+const Version = levelfmt.Version
 
 // HeaderSize is the byte length of the fixed header.
-const HeaderSize = 32
+const HeaderSize = levelfmt.HeaderSize
 
 // FlagDeltaRefs marks streams whose level segments delta-encode child
 // references against the current node's stream index.
-const FlagDeltaRefs = 1 << 0
+const FlagDeltaRefs = levelfmt.FlagDeltaRefs
 
-// Section kinds.
+// Terminal sentinels in the in-memory packed array: the codec's own
+// terminals, at the top of the uint32 range so that `child >= termOne` is
+// the terminal test and every real index stays below both. Packed
+// children and codec numbers therefore convert by plain casts.
 const (
-	secVarOrder = 1
-	secLevel    = 2
-	secRoots    = 3
-	secEnd      = 4
-)
-
-// maxSectionLen bounds a single section payload; longer claims are
-// rejected as corrupt before any allocation of that size is attempted.
-const maxSectionLen = 1 << 30
-
-// Terminal sentinels in the in-memory packed array. They sit at the top
-// of the uint32 range so that `child >= termOne` is the terminal test and
-// every real index stays below both.
-const (
-	termZero = ^uint32(0)
-	termOne  = ^uint32(0) - 1
+	termZero uint32 = levelfmt.Zero
+	termOne  uint32 = levelfmt.One
 )
 
 // maxNodes bounds an artifact's node count so indices never collide with
 // the terminal sentinels.
 const maxNodes = 1 << 31
 
-// Typed decode errors. Every Load failure wraps exactly one of these.
+// Typed decode errors, shared with the codec. Every Load failure wraps
+// exactly one of these.
 var (
 	// ErrBadMagic means the stream does not start with the artifact magic.
-	ErrBadMagic = errors.New("compiled: bad magic")
+	ErrBadMagic = levelfmt.ErrBadMagic
 	// ErrVersion means the stream's version or flags are not supported.
-	ErrVersion = errors.New("compiled: unsupported version")
-	// ErrChecksum means a section's CRC does not match its payload.
-	ErrChecksum = errors.New("compiled: checksum mismatch")
+	ErrVersion = levelfmt.ErrVersion
+	// ErrChecksum means a CRC does not match.
+	ErrChecksum = levelfmt.ErrChecksum
 	// ErrTruncated means the stream ended before the end-of-stream marker.
-	ErrTruncated = errors.New("compiled: truncated stream")
-	// ErrCorrupt means the stream is structurally invalid (bad varint,
-	// out-of-order segment, backward reference, count mismatch, …).
-	ErrCorrupt = errors.New("compiled: corrupt stream")
+	ErrTruncated = levelfmt.ErrTruncated
+	// ErrCorrupt means the stream is structurally invalid.
+	ErrCorrupt = levelfmt.ErrCorrupt
 	// ErrTooLarge means the graph exceeds the format's limits.
-	ErrTooLarge = errors.New("compiled: graph too large for format")
+	ErrTooLarge = levelfmt.ErrTooLarge
 )
 
-// corrupt wraps ErrCorrupt with detail.
-func corrupt(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-}
-
-// eofErr converts io EOF errors into ErrTruncated, passing others through.
-func eofErr(err error) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return fmt.Errorf("%w: %v", ErrTruncated, err)
+// wrap prefixes a codec error with the package name.
+func wrap(err error) error {
+	if err == nil {
+		return nil
 	}
-	return err
-}
-
-// header is the decoded fixed header of a compiled stream.
-type header struct {
-	Version    uint16
-	Flags      uint16
-	NumVars    int
-	NumRoots   int
-	TotalNodes uint64
-}
-
-// encode renders the header, including its trailing CRC.
-func (h header) encode() []byte {
-	b := make([]byte, HeaderSize)
-	copy(b, Magic)
-	binary.LittleEndian.PutUint16(b[8:], h.Version)
-	binary.LittleEndian.PutUint16(b[10:], h.Flags)
-	binary.LittleEndian.PutUint32(b[12:], uint32(h.NumVars))
-	binary.LittleEndian.PutUint32(b[16:], uint32(h.NumRoots))
-	binary.LittleEndian.PutUint64(b[20:], h.TotalNodes)
-	binary.LittleEndian.PutUint32(b[28:], crc32.ChecksumIEEE(b[:28]))
-	return b
-}
-
-// parseHeader decodes and validates a fixed header.
-func parseHeader(b []byte) (header, error) {
-	if len(b) < HeaderSize {
-		return header{}, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(b))
-	}
-	if string(b[:8]) != Magic {
-		return header{}, ErrBadMagic
-	}
-	if got, want := binary.LittleEndian.Uint32(b[28:32]), crc32.ChecksumIEEE(b[:28]); got != want {
-		return header{}, fmt.Errorf("%w: header", ErrChecksum)
-	}
-	h := header{
-		Version:    binary.LittleEndian.Uint16(b[8:]),
-		Flags:      binary.LittleEndian.Uint16(b[10:]),
-		NumVars:    int(binary.LittleEndian.Uint32(b[12:])),
-		NumRoots:   int(binary.LittleEndian.Uint32(b[16:])),
-		TotalNodes: binary.LittleEndian.Uint64(b[20:]),
-	}
-	if h.Version != Version {
-		return header{}, fmt.Errorf("%w: version %d", ErrVersion, h.Version)
-	}
-	if h.Flags&^FlagDeltaRefs != 0 {
-		return header{}, fmt.Errorf("%w: unknown flags %#x", ErrVersion, h.Flags)
-	}
-	if h.NumVars >= node.MaxLevels {
-		return header{}, corrupt("variable count %d out of range", h.NumVars)
-	}
-	if h.TotalNodes > maxNodes {
-		return header{}, fmt.Errorf("%w: %d nodes", ErrTooLarge, h.TotalNodes)
-	}
-	return h, nil
+	return fmt.Errorf("compiled: %w", err)
 }
 
 // Root labels one entry point into the compiled graph. IDs are opaque to

@@ -2,149 +2,45 @@ package compiled
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/json"
 	"errors"
-	"hash/crc32"
+	"os"
 	"testing"
+
+	"bfbdd/internal/levelfmt"
 )
 
-// stream hand-assembles a compiled byte stream for hostile-input tests.
-type stream struct {
-	buf bytes.Buffer
-}
-
-func (s *stream) header(flags uint16, numVars, numRoots int, totalNodes uint64) *stream {
-	h := header{Version: Version, Flags: flags, NumVars: numVars, NumRoots: numRoots, TotalNodes: totalNodes}
-	s.buf.Write(h.encode())
-	return s
-}
-
-func (s *stream) section(kind byte, payload []byte) *stream {
-	var hdr [5]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	s.buf.Write(hdr[:])
-	s.buf.Write(payload)
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc32.ChecksumIEEE(payload))
-	s.buf.Write(crcb[:])
-	return s
-}
-
-func uvarints(vs ...uint64) []byte {
-	var b []byte
-	var tmp [binary.MaxVarintLen64]byte
-	for _, v := range vs {
-		n := binary.PutUvarint(tmp[:], v)
-		b = append(b, tmp[:n]...)
-	}
-	return b
-}
-
-func identity(n int) []byte {
-	vs := make([]uint64, n)
-	for i := range vs {
-		vs[i] = uint64(i)
-	}
-	return uvarints(vs...)
-}
-
-// TestLoadHostile feeds targeted structural attacks through Load and
-// requires the advertised typed error for each.
+// TestLoadHostile runs the codec's hostile-input table for this format
+// (written by the levelfmt tests) through Load, which must keep every
+// typed error visible through its wrapping.
 func TestLoadHostile(t *testing.T) {
-	cases := []struct {
-		name string
-		data []byte
-		want error
-	}{
-		{"empty", nil, ErrTruncated},
-		{"bad magic", []byte("NOTAFUNC________________________"), ErrBadMagic},
-		{"snapshot magic", []byte("BFBDSNAP________________________"), ErrBadMagic},
-		{"header only", (&stream{}).header(FlagDeltaRefs, 2, 0, 0).buf.Bytes(), ErrTruncated},
-		{"descending levels", (&stream{}).header(FlagDeltaRefs, 3, 1, 2).
-			section(secVarOrder, identity(3)).
-			section(secLevel, uvarints(1, 1, 0, 1)).
-			section(secLevel, uvarints(0, 1, 0, 1)).buf.Bytes(), ErrCorrupt},
-		{"repeated level", (&stream{}).header(FlagDeltaRefs, 3, 1, 2).
-			section(secVarOrder, identity(3)).
-			section(secLevel, uvarints(0, 1, 0, 1)).
-			section(secLevel, uvarints(0, 1, 0, 1)).buf.Bytes(), ErrCorrupt},
-		{"level past numvars", (&stream{}).header(FlagDeltaRefs, 2, 0, 1).
-			section(secVarOrder, identity(2)).
-			section(secLevel, uvarints(5, 1, 0, 1)).buf.Bytes(), ErrCorrupt},
-		{"count exceeds payload", (&stream{}).header(FlagDeltaRefs, 2, 0, 1000).
-			section(secVarOrder, identity(2)).
-			section(secLevel, uvarints(0, 1000, 0, 1)).buf.Bytes(), ErrCorrupt},
-		{"count exceeds header total", (&stream{}).header(FlagDeltaRefs, 2, 0, 1).
-			section(secVarOrder, identity(2)).
-			section(secLevel, uvarints(0, 2, 0, 1, 0, 1)).buf.Bytes(), ErrCorrupt},
-		// Node 0's child delta 1 points at node 1 — same segment, same
-		// level: must be rejected even though it is forward.
-		{"same-segment child", (&stream{}).header(FlagDeltaRefs, 2, 1, 2).
-			section(secVarOrder, identity(2)).
-			section(secLevel, uvarints(0, 2, 2, 1, 0, 1)).buf.Bytes(), ErrCorrupt},
-		// Delta of ^uint64(0)-ish would wrap cur+d into range if added
-		// blindly.
-		{"wrapping delta", (&stream{}).header(FlagDeltaRefs, 2, 1, 2).
-			section(secVarOrder, identity(2)).
-			section(secLevel, append(uvarints(0, 1), uvarints(^uint64(0), 1)...)).buf.Bytes(), ErrCorrupt},
-		{"raw child out of range", (&stream{}).header(0, 2, 1, 1).
-			section(secVarOrder, identity(2)).
-			section(secLevel, uvarints(0, 1, 2+5, 1)).buf.Bytes(), ErrCorrupt},
-		{"root out of range", (&stream{}).header(FlagDeltaRefs, 1, 1, 1).
-			section(secVarOrder, identity(1)).
-			section(secLevel, uvarints(0, 1, 0, 1)).
-			section(secRoots, uvarints(0, 2+7)).buf.Bytes(), ErrCorrupt},
-		{"roots before total reached", (&stream{}).header(FlagDeltaRefs, 1, 0, 5).
-			section(secVarOrder, identity(1)).
-			section(secRoots, nil).buf.Bytes(), ErrCorrupt},
-		{"hostile root count", (&stream{}).header(FlagDeltaRefs, 1, 1<<20, 0).
-			section(secVarOrder, identity(1)).
-			section(secRoots, uvarints(0, 0)).buf.Bytes(), ErrCorrupt},
-		{"missing end", (&stream{}).header(FlagDeltaRefs, 1, 0, 0).
-			section(secVarOrder, identity(1)).
-			section(secRoots, nil).buf.Bytes(), ErrTruncated},
-		{"bad varorder", (&stream{}).header(FlagDeltaRefs, 2, 0, 0).
-			section(secVarOrder, uvarints(0, 0)).buf.Bytes(), ErrCorrupt},
-		{"trailing varorder bytes", (&stream{}).header(FlagDeltaRefs, 2, 0, 0).
-			section(secVarOrder, uvarints(0, 1, 9)).buf.Bytes(), ErrCorrupt},
-		{"unknown section", (&stream{}).header(FlagDeltaRefs, 1, 0, 0).
-			section(secVarOrder, identity(1)).
-			section(99, nil).buf.Bytes(), ErrCorrupt},
-		{"huge totalNodes", (&stream{}).header(FlagDeltaRefs, 1, 0, 1<<40).buf.Bytes(), ErrTooLarge},
+	b, err := os.ReadFile("../levelfmt/testdata/hostile-" + Magic + ".json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			f, err := Load(bytes.NewReader(tc.data))
-			if err == nil {
-				t.Fatalf("loaded hostile stream: %+v", f)
+	var vectors []struct {
+		Name, Want string
+		Data       []byte
+	}
+	if err := json.Unmarshal(b, &vectors); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vectors {
+		t.Run(v.Name, func(t *testing.T) {
+			_, err := Load(bytes.NewReader(v.Data))
+			if v.Want == "" {
+				if err != nil {
+					t.Fatalf("valid stream rejected: %v", err)
+				}
+				return
 			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("error %v, want %v", err, tc.want)
+			for _, te := range []error{ErrBadMagic, ErrVersion, ErrChecksum, ErrTruncated, ErrCorrupt, ErrTooLarge} {
+				if errors.Is(err, te) && te.Error() == v.Want {
+					return
+				}
 			}
+			t.Fatalf("error %v, want %q", err, v.Want)
 		})
-	}
-}
-
-// TestLoadChecksum flips one payload byte and requires ErrChecksum.
-func TestLoadChecksum(t *testing.T) {
-	data := (&stream{}).header(FlagDeltaRefs, 2, 0, 0).
-		section(secVarOrder, identity(2)).
-		section(secRoots, nil).
-		section(secEnd, nil).buf.Bytes()
-	if _, err := Load(bytes.NewReader(data)); err != nil {
-		t.Fatalf("valid stream rejected: %v", err)
-	}
-	bad := append([]byte(nil), data...)
-	bad[HeaderSize+5] ^= 0x40 // first varorder payload byte
-	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("error %v, want ErrChecksum", err)
-	}
-	// Header corruption is caught by the header CRC.
-	bad = append([]byte(nil), data...)
-	bad[12] ^= 1
-	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("error %v, want header ErrChecksum", err)
 	}
 }
 
@@ -152,13 +48,17 @@ func TestLoadChecksum(t *testing.T) {
 // non-canonical artifact (a node whose children are both Zero) and
 // checks every query stays exact and terminates.
 func TestLoadUnreducedStillTerminates(t *testing.T) {
-	data := (&stream{}).header(FlagDeltaRefs, 2, 1, 2).
-		section(secVarOrder, identity(2)).
-		section(secLevel, uvarints(0, 1, 2, 2)). // node 0 at level 0: both children node 1
-		section(secLevel, uvarints(1, 1, 0, 0)). // node 1 at level 1: both children Zero
-		section(secRoots, uvarints(3, 2+0)).
-		section(secEnd, nil).buf.Bytes()
-	f, err := Load(bytes.NewReader(data))
+	var buf bytes.Buffer
+	enc, err := format.NewEncoder(&buf, []int{0, 1}, 1, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc.Node(0, 1, 1)                         // node 0 at level 0: both children node 1
+	enc.Node(1, levelfmt.Zero, levelfmt.Zero) // node 1 at level 1: both children Zero
+	if err := enc.Finish([]levelfmt.Root{{ID: 3, Node: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Load(&buf)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

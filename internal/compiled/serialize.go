@@ -1,12 +1,9 @@
 package compiled
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"io"
+
+	"bfbdd/internal/levelfmt"
 )
 
 // Serialize writes the artifact in the compiled wire format with
@@ -25,360 +22,62 @@ func (f *Func) SerializeRaw(w io.Writer) error {
 }
 
 func (f *Func) serialize(w io.Writer, raw bool) error {
-	flags := uint16(FlagDeltaRefs)
-	if raw {
-		flags = 0
+	enc, err := format.NewEncoder(w, f.var2level, len(f.roots), uint64(len(f.nodes)), raw)
+	if err != nil {
+		return wrap(err)
 	}
-	bw := bufio.NewWriter(w)
-	hdr := header{
-		Version:    Version,
-		Flags:      flags,
-		NumVars:    f.numVars,
-		NumRoots:   len(f.roots),
-		TotalNodes: uint64(len(f.nodes)),
-	}
-	if _, err := bw.Write(hdr.encode()); err != nil {
-		return err
-	}
-
-	var buf bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf.Write(scratch[:n])
-	}
-
-	for _, l := range f.var2level {
-		putUvarint(uint64(l))
-	}
-	if err := writeSection(bw, secVarOrder, buf.Bytes()); err != nil {
-		return err
-	}
-
-	encChild := func(cur uint32, c uint32) uint64 {
-		switch {
-		case c == termZero:
-			return 0
-		case c == termOne:
-			return 1
-		case raw:
-			return 2 + uint64(c)
-		default:
-			return 1 + uint64(c) - uint64(cur)
-		}
-	}
-
 	for _, s := range f.segs {
-		buf.Reset()
-		putUvarint(uint64(s.level))
-		putUvarint(uint64(s.end - s.start))
-		for i := s.start; i < s.end; i++ {
-			putUvarint(encChild(i, f.nodes[i].lo))
-			putUvarint(encChild(i, f.nodes[i].hi))
-		}
-		if err := writeSection(bw, secLevel, buf.Bytes()); err != nil {
-			return err
+		for _, nd := range f.nodes[s.start:s.end] {
+			enc.Node(s.level, uint64(nd.lo), uint64(nd.hi))
 		}
 	}
-
-	buf.Reset()
-	for _, rt := range f.roots {
-		putUvarint(rt.id)
-		switch rt.node {
-		case termZero:
-			putUvarint(0)
-		case termOne:
-			putUvarint(1)
-		default:
-			putUvarint(2 + uint64(rt.node))
-		}
+	roots := make([]levelfmt.Root, len(f.roots))
+	for i, rt := range f.roots {
+		roots[i] = levelfmt.Root{ID: rt.id, Node: uint64(rt.node)}
 	}
-	if err := writeSection(bw, secRoots, buf.Bytes()); err != nil {
-		return err
-	}
-	if err := writeSection(bw, secEnd, nil); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// writeSection emits one kind/length/payload/crc section.
-func writeSection(w io.Writer, kind byte, payload []byte) error {
-	if len(payload) > maxSectionLen {
-		return ErrTooLarge
-	}
-	var hdr [5]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(crcb[:])
-	return err
+	return wrap(enc.Finish(roots))
 }
 
 // Load decodes a compiled artifact from r. Malformed input of any kind —
 // truncated, bit-flipped, or adversarial — yields a typed error (never a
-// panic), and no allocation is proportional to a hostile length claim:
-// sections are read in bounded chunks, per-segment node counts are
-// checked against the bytes actually present, and the node array grows
-// by append against the payload actually decoded.
+// panic), and no allocation is proportional to a hostile length claim.
 //
-// Load re-validates the structural invariants evaluation depends on:
-// segment levels strictly ascend, every child reference lands strictly
-// past the end of its own segment (deeper level, forward progress), and
-// the segment totals match the header. A Func returned by Load is
-// therefore safe to evaluate concurrently like any compiled one, even if
-// the bytes came from an untrusted peer.
+// The codec re-validates the structural invariants evaluation depends
+// on: segment levels strictly ascend, every child reference lands
+// strictly past the end of its own segment (deeper level, forward
+// progress), and the segment totals match the header. A Func returned by
+// Load is therefore safe to evaluate concurrently like any compiled one,
+// even if the bytes came from an untrusted peer.
 func Load(r io.Reader) (*Func, error) {
-	var hb [HeaderSize]byte
-	if _, err := io.ReadFull(r, hb[:]); err != nil {
-		return nil, eofErr(err)
-	}
-	hdr, err := parseHeader(hb[:])
+	d, err := format.NewDecoder(r)
 	if err != nil {
-		return nil, err
+		return nil, wrap(err)
 	}
-	delta := hdr.Flags&FlagDeltaRefs != 0
-
-	ld := loader{r: r}
-	kind, payload, err := ld.readSection()
+	f := &Func{
+		numVars:   d.Header.NumVars,
+		nodes:     make([]packed, 0, min(d.Header.TotalNodes, 1<<20)),
+		var2level: d.Var2Level,
+		level2var: d.Level2Var,
+	}
+	roots, err := d.Decode(f.fill)
 	if err != nil {
-		return nil, err
+		return nil, wrap(err)
 	}
-	if kind != secVarOrder {
-		return nil, corrupt("expected variable-order section, got kind %d", kind)
+	for _, rt := range roots {
+		f.roots = append(f.roots, funcRoot{id: rt.ID, node: uint32(rt.Node)})
 	}
-	p := payloadReader{b: payload}
-	var2level := make([]int, hdr.NumVars)
-	level2var := make([]int, hdr.NumVars)
-	seen := make([]bool, hdr.NumVars)
-	for v := range var2level {
-		lv, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if lv >= uint64(hdr.NumVars) || seen[lv] {
-			return nil, corrupt("variable order is not a permutation of [0,%d)", hdr.NumVars)
-		}
-		var2level[v] = int(lv)
-		level2var[lv] = v
-		seen[lv] = true
-	}
-	if !p.empty() {
-		return nil, corrupt("trailing bytes in variable-order section")
-	}
-
-	nodes := make([]packed, 0, min(hdr.TotalNodes, 1<<20))
-	var segs []segment
-	prevLevel := -1
-	for {
-		kind, payload, err := ld.readSection()
-		if err != nil {
-			return nil, err
-		}
-		switch kind {
-		case secLevel:
-			p := payloadReader{b: payload}
-			lvlU, err := p.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if lvlU <= uint64(prevLevel) && prevLevel >= 0 || lvlU >= uint64(hdr.NumVars) {
-				return nil, corrupt("level segment %d out of order (must ascend above %d, below %d)",
-					lvlU, prevLevel, hdr.NumVars)
-			}
-			lvl := int(lvlU)
-			count, err := p.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			// Each node costs at least two payload bytes; this bound stops
-			// hostile counts before any proportional allocation.
-			if count == 0 || count > uint64(len(payload))/2 {
-				return nil, corrupt("level %d claims %d nodes in %d payload bytes", lvl, count, len(payload))
-			}
-			base := uint64(len(nodes))
-			if base+count > hdr.TotalNodes {
-				return nil, corrupt("more nodes than the header's total %d", hdr.TotalNodes)
-			}
-			segEnd := base + count
-			for i := uint64(0); i < count; i++ {
-				lo, err := p.child(base+i, segEnd, hdr.TotalNodes, delta)
-				if err != nil {
-					return nil, err
-				}
-				hi, err := p.child(base+i, segEnd, hdr.TotalNodes, delta)
-				if err != nil {
-					return nil, err
-				}
-				nodes = append(nodes, packed{lo: lo, hi: hi})
-			}
-			if !p.empty() {
-				return nil, corrupt("trailing bytes in level %d segment", lvl)
-			}
-			segs = append(segs, segment{
-				level:  lvl,
-				varIdx: level2var[lvl],
-				start:  uint32(base),
-				end:    uint32(segEnd),
-			})
-			prevLevel = lvl
-
-		case secRoots:
-			if uint64(len(nodes)) != hdr.TotalNodes {
-				return nil, corrupt("stream has %d nodes, header promised %d", len(nodes), hdr.TotalNodes)
-			}
-			p := payloadReader{b: payload}
-			// Each root costs at least two payload bytes (id and encoding
-			// uvarints); this bound stops a hostile NumRoots before any
-			// proportional allocation.
-			if uint64(hdr.NumRoots)*2 > uint64(len(payload)) {
-				return nil, corrupt("header claims %d roots in %d payload bytes", hdr.NumRoots, len(payload))
-			}
-			roots := make([]funcRoot, 0, hdr.NumRoots)
-			for i := 0; i < hdr.NumRoots; i++ {
-				id, err := p.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				enc, err := p.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				var n uint32
-				switch enc {
-				case 0:
-					n = termZero
-				case 1:
-					n = termOne
-				default:
-					s := enc - 2
-					if s >= uint64(len(nodes)) {
-						return nil, corrupt("root %d references node %d of %d", i, s, len(nodes))
-					}
-					n = uint32(s)
-				}
-				roots = append(roots, funcRoot{id: id, node: n})
-			}
-			if !p.empty() {
-				return nil, corrupt("trailing bytes in roots section")
-			}
-			kind, payload, err := ld.readSection()
-			if err != nil {
-				return nil, err
-			}
-			if kind != secEnd || len(payload) != 0 {
-				return nil, corrupt("missing end-of-stream section")
-			}
-			f := &Func{
-				numVars:   hdr.NumVars,
-				nodes:     nodes,
-				segs:      segs,
-				roots:     roots,
-				var2level: var2level,
-				level2var: level2var,
-			}
-			f.buildVarOf()
-			return f, nil
-
-		default:
-			return nil, corrupt("unexpected section kind %d", kind)
-		}
-	}
+	f.buildVarOf()
+	return f, nil
 }
 
-// loader reads framed sections from a stream.
-type loader struct {
-	r io.Reader
-}
-
-// readSection reads one kind/length/payload/crc section. The payload is
-// read in bounded chunks so a hostile length field cannot force a large
-// allocation beyond the bytes actually present.
-func (ld *loader) readSection() (kind byte, payload []byte, err error) {
-	var hb [5]byte
-	if _, err := io.ReadFull(ld.r, hb[:]); err != nil {
-		return 0, nil, eofErr(err)
+// fill appends the next node in level-major stream order to the packed
+// array, opening a segment when the level changes. Compile and Load
+// both build a Func through it; children are codec numbers.
+func (f *Func) fill(level int, lo, hi uint64) {
+	n := uint32(len(f.nodes))
+	if k := len(f.segs); k == 0 || f.segs[k-1].level != level {
+		f.segs = append(f.segs, segment{level: level, varIdx: f.level2var[level], start: n})
 	}
-	kind = hb[0]
-	n := binary.LittleEndian.Uint32(hb[1:])
-	if n > maxSectionLen {
-		return 0, nil, corrupt("section length %d exceeds limit", n)
-	}
-	payload = make([]byte, 0, min(int(n), 64<<10))
-	for remaining := int(n); remaining > 0; {
-		c := min(remaining, 64<<10)
-		start := len(payload)
-		payload = append(payload, make([]byte, c)...)
-		if _, err := io.ReadFull(ld.r, payload[start:]); err != nil {
-			return 0, nil, eofErr(err)
-		}
-		remaining -= c
-	}
-	var crcb [4]byte
-	if _, err := io.ReadFull(ld.r, crcb[:]); err != nil {
-		return 0, nil, eofErr(err)
-	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcb[:]) {
-		return 0, nil, fmt.Errorf("%w: section kind %d", ErrChecksum, kind)
-	}
-	return kind, payload, nil
-}
-
-// payloadReader is a varint cursor over one section's payload.
-type payloadReader struct {
-	b   []byte
-	off int
-}
-
-func (p *payloadReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(p.b[p.off:])
-	if n <= 0 {
-		return 0, corrupt("bad varint at payload offset %d", p.off)
-	}
-	p.off += n
-	return v, nil
-}
-
-func (p *payloadReader) empty() bool { return p.off == len(p.b) }
-
-// child decodes one child reference for the node at stream index cur.
-// segEnd is the exclusive end of the current segment, which is also the
-// inclusive lower bound for non-terminal children: a valid child lives at
-// a strictly deeper level, i.e. strictly past this segment. total bounds
-// the stream's node count (later segments may not have been decoded yet,
-// but the roots section verifies the total is reached).
-func (p *payloadReader) child(cur, segEnd, total uint64, delta bool) (uint32, error) {
-	enc, err := p.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	switch enc {
-	case 0:
-		return termZero, nil
-	case 1:
-		return termOne, nil
-	}
-	var s uint64
-	if delta {
-		d := enc - 1
-		if d >= total {
-			// Reject before adding: a near-2^64 delta must not wrap cur+d
-			// back into the valid range.
-			return 0, corrupt("node %d child delta %d exceeds the stream", cur, d)
-		}
-		s = cur + d
-	} else {
-		s = enc - 2
-	}
-	if s < segEnd || s >= total {
-		return 0, corrupt("node %d child %d escapes the forward range [%d,%d)", cur, s, segEnd, total)
-	}
-	return uint32(s), nil
+	f.segs[len(f.segs)-1].end = n + 1
+	f.nodes = append(f.nodes, packed{lo: uint32(lo), hi: uint32(hi)})
 }

@@ -81,12 +81,12 @@ func (c *coalescer) submit(ctx context.Context, kind bfbdd.BatchOpKind, f, g uin
 	}
 	c.pending = append(c.pending, call)
 	n := len(c.pending)
-	if n == 1 && c.window > 0 {
+	if n == 1 {
 		c.timer = time.AfterFunc(c.window, c.flush)
 	}
 	full := n >= c.maxOps
 	c.mu.Unlock()
-	if full || c.window <= 0 {
+	if full {
 		c.flush()
 	}
 	select {

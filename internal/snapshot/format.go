@@ -1,170 +1,77 @@
-// Package snapshot implements the versioned, checksummed binary format
-// that serializes a BDD node graph level by level. The format exploits
-// the engine's per-(worker, variable) arena layout: nodes of one variable
-// are emitted as one contiguous segment by scanning the arenas
-// sequentially, and child references are re-packed as dense per-stream
-// sequence numbers instead of (level, worker, index) triples, so the
-// stream is position independent. Segments are written bottom-up (deepest
-// variable first), which means every child reference points strictly
-// backwards in the stream — a reader can materialize nodes in a single
-// pass, and child references compress well as small varint deltas
-// (level-local delta encoding, cf. Hansen et al., "Compressing Binary
-// Decision Diagrams").
+// Package snapshot implements the BFBDSNAP format, which serializes the
+// BDD node graph reachable from chosen roots for checkpoints and restore.
+// It is the descending direction of the shared level-major codec (see
+// bfbdd/internal/levelfmt for the layout): segments run deepest level
+// first and every child reference points backwards, so a reader
+// materializes nodes in one pass straight into fresh unique tables.
 //
-// Layout:
-//
-//	header (32 bytes, fixed):
-//	  magic      [8]byte  "BFBDSNAP"
-//	  version    uint16
-//	  flags      uint16   (bit 0: delta-encoded child refs)
-//	  numVars    uint32
-//	  numRoots   uint32
-//	  totalNodes uint64
-//	  headerCRC  uint32   (IEEE CRC-32 of the 28 preceding bytes)
-//
-//	then a series of sections, each:
-//	  kind    uint8   (1 varorder, 2 level segment, 3 roots, 4 end)
-//	  length  uint32  (payload bytes, little endian)
-//	  payload [length]byte
-//	  crc     uint32  (IEEE CRC-32 of payload)
-//
-//	varorder payload: numVars × uvarint(level of variable v) — a
-//	  permutation of [0, numVars).
-//	level-segment payload: uvarint(level), uvarint(count), then count ×
-//	  (uvarint low, uvarint high). Segments appear in strictly decreasing
-//	  level order. Node sequence numbers are implicit: nodes are numbered
-//	  0, 1, 2, … in stream order across all segments.
-//	roots payload: numRoots × (uvarint id, uvarint node), node raw-encoded.
-//	end payload: empty; marks a complete stream.
-//
-// Child/root encoding: 0 is the Zero terminal, 1 is the One terminal.
-// With delta refs (flag bit 0), a child of the node with sequence number
-// cur encodes as 1 + (cur - child); without, and always in the roots
-// section, as 2 + child.
-//
-// Every malformed input is reported as a typed error (ErrBadMagic,
-// ErrVersion, ErrChecksum, ErrTruncated, ErrCorrupt); the reader never
-// panics on untrusted bytes.
+// The writer exploits the engine's per-(worker, variable) arena layout:
+// one level's segment is a sequential scan of that level's arenas, with
+// child references re-packed as dense stream numbers instead of (level,
+// worker, index) triples.
 package snapshot
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
+	"math"
 
+	"bfbdd/internal/levelfmt"
 	"bfbdd/internal/node"
 )
 
 // Magic identifies a snapshot stream.
 const Magic = "BFBDSNAP"
 
+// format is the snapshot instance of the shared codec. Stream numbers
+// are packed as uint32 by the writer, and the top two codes belong to
+// the terminals.
+var format = levelfmt.Format{Magic: Magic, Descending: true, MaxNodes: math.MaxUint32 - 2}
+
 // Version is the format version this package writes.
-const Version = 1
+const Version = levelfmt.Version
 
 // HeaderSize is the byte length of the fixed header.
-const HeaderSize = 32
+const HeaderSize = levelfmt.HeaderSize
 
 // FlagDeltaRefs marks streams whose level segments delta-encode child
 // references against the current node's sequence number.
-const FlagDeltaRefs = 1 << 0
+const FlagDeltaRefs = levelfmt.FlagDeltaRefs
 
-// Section kinds.
-const (
-	secVarOrder = 1
-	secLevel    = 2
-	secRoots    = 3
-	secEnd      = 4
-)
-
-// maxSectionLen bounds a single section payload; longer claims are
-// rejected as corrupt before any allocation of that size is attempted.
-const maxSectionLen = 1 << 30
-
-// Typed decode errors. Every reader failure wraps exactly one of these.
+// Typed decode errors, shared with the codec. Every reader failure wraps
+// exactly one of these.
 var (
 	// ErrBadMagic means the stream does not start with the snapshot magic.
-	ErrBadMagic = errors.New("snapshot: bad magic")
+	ErrBadMagic = levelfmt.ErrBadMagic
 	// ErrVersion means the stream's version or flags are not supported.
-	ErrVersion = errors.New("snapshot: unsupported version")
-	// ErrChecksum means a section's CRC does not match its payload.
-	ErrChecksum = errors.New("snapshot: checksum mismatch")
+	ErrVersion = levelfmt.ErrVersion
+	// ErrChecksum means a CRC does not match.
+	ErrChecksum = levelfmt.ErrChecksum
 	// ErrTruncated means the stream ended before the end-of-stream marker.
-	ErrTruncated = errors.New("snapshot: truncated stream")
-	// ErrCorrupt means the stream is structurally invalid (bad varint,
-	// out-of-order segment, dangling reference, count mismatch, …).
-	ErrCorrupt = errors.New("snapshot: corrupt stream")
+	ErrTruncated = levelfmt.ErrTruncated
+	// ErrCorrupt means the stream is structurally invalid.
+	ErrCorrupt = levelfmt.ErrCorrupt
 	// ErrTooLarge means the graph exceeds the format's limits.
-	ErrTooLarge = errors.New("snapshot: graph too large for format")
+	ErrTooLarge = levelfmt.ErrTooLarge
 )
 
-// corrupt wraps ErrCorrupt with detail.
-func corrupt(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-}
-
-// eofErr converts io EOF errors into ErrTruncated, passing others through.
-func eofErr(err error) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return fmt.Errorf("%w: %v", ErrTruncated, err)
+// wrap prefixes a codec error with the package name.
+func wrap(err error) error {
+	if err == nil {
+		return nil
 	}
-	return err
+	return fmt.Errorf("snapshot: %w", err)
 }
 
 // Header is the decoded fixed header of a snapshot stream.
-type Header struct {
-	Version    uint16
-	Flags      uint16
-	NumVars    int
-	NumRoots   int
-	TotalNodes uint64
-}
-
-// encode renders the header, including its trailing CRC.
-func (h Header) encode() []byte {
-	b := make([]byte, HeaderSize)
-	copy(b, Magic)
-	binary.LittleEndian.PutUint16(b[8:], h.Version)
-	binary.LittleEndian.PutUint16(b[10:], h.Flags)
-	binary.LittleEndian.PutUint32(b[12:], uint32(h.NumVars))
-	binary.LittleEndian.PutUint32(b[16:], uint32(h.NumRoots))
-	binary.LittleEndian.PutUint64(b[20:], h.TotalNodes)
-	binary.LittleEndian.PutUint32(b[28:], crc32.ChecksumIEEE(b[:28]))
-	return b
-}
+type Header = levelfmt.Header
 
 // ParseHeader decodes and validates a fixed header from b, which must
 // hold at least HeaderSize bytes. It lets a caller vet a stream's
 // dimensions (variable count, node count) against resource limits before
 // committing to a full restore.
 func ParseHeader(b []byte) (Header, error) {
-	if len(b) < HeaderSize {
-		return Header{}, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(b))
-	}
-	if string(b[:8]) != Magic {
-		return Header{}, ErrBadMagic
-	}
-	if got, want := binary.LittleEndian.Uint32(b[28:32]), crc32.ChecksumIEEE(b[:28]); got != want {
-		return Header{}, fmt.Errorf("%w: header", ErrChecksum)
-	}
-	h := Header{
-		Version:    binary.LittleEndian.Uint16(b[8:]),
-		Flags:      binary.LittleEndian.Uint16(b[10:]),
-		NumVars:    int(binary.LittleEndian.Uint32(b[12:])),
-		NumRoots:   int(binary.LittleEndian.Uint32(b[16:])),
-		TotalNodes: binary.LittleEndian.Uint64(b[20:]),
-	}
-	if h.Version != Version {
-		return Header{}, fmt.Errorf("%w: version %d", ErrVersion, h.Version)
-	}
-	if h.Flags&^FlagDeltaRefs != 0 {
-		return Header{}, fmt.Errorf("%w: unknown flags %#x", ErrVersion, h.Flags)
-	}
-	if h.NumVars >= node.MaxLevels {
-		return Header{}, corrupt("variable count %d out of range", h.NumVars)
-	}
-	return h, nil
+	h, err := format.ParseHeader(b)
+	return h, wrap(err)
 }
 
 // Root labels one externally meaningful entry point into the node graph.

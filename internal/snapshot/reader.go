@@ -1,11 +1,9 @@
 package snapshot
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"io"
 
+	"bfbdd/internal/levelfmt"
 	"bfbdd/internal/node"
 )
 
@@ -14,74 +12,34 @@ import (
 // fresh manager), then Resolve streams the level segments through a
 // node-construction callback and returns the labeled roots.
 type Reader struct {
-	r      io.Reader
-	hdr    Header
-	v2l    []int
-	levels []LevelInfo
+	d *levelfmt.Decoder
 }
 
 // LevelInfo summarizes one level segment of a stream.
-type LevelInfo struct {
-	// Level is the variable level the segment's nodes live at.
-	Level int
-	// Count is the number of nodes in the segment.
-	Count uint64
-	// Bytes is the segment's on-disk size including framing.
-	Bytes int
-}
+type LevelInfo = levelfmt.LevelInfo
 
 // NewReader consumes the fixed header and the variable-order section.
 func NewReader(r io.Reader) (*Reader, error) {
-	var hb [HeaderSize]byte
-	if _, err := io.ReadFull(r, hb[:]); err != nil {
-		return nil, eofErr(err)
-	}
-	hdr, err := ParseHeader(hb[:])
+	d, err := format.NewDecoder(r)
 	if err != nil {
-		return nil, err
+		return nil, wrap(err)
 	}
-	rd := &Reader{r: r, hdr: hdr}
-	kind, payload, err := rd.readSection()
-	if err != nil {
-		return nil, err
-	}
-	if kind != secVarOrder {
-		return nil, corrupt("expected variable-order section, got kind %d", kind)
-	}
-	p := payloadReader{b: payload}
-	v2l := make([]int, hdr.NumVars)
-	seen := make([]bool, hdr.NumVars)
-	for v := range v2l {
-		lv, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if lv >= uint64(hdr.NumVars) || seen[lv] {
-			return nil, corrupt("variable order is not a permutation of [0,%d)", hdr.NumVars)
-		}
-		v2l[v] = int(lv)
-		seen[lv] = true
-	}
-	if !p.empty() {
-		return nil, corrupt("trailing bytes in variable-order section")
-	}
-	rd.v2l = v2l
-	return rd, nil
+	return &Reader{d: d}, nil
 }
 
 // Header returns the decoded fixed header.
-func (rd *Reader) Header() Header { return rd.hdr }
+func (rd *Reader) Header() Header { return rd.d.Header }
 
 // NumVars returns the stream's variable count.
-func (rd *Reader) NumVars() int { return rd.hdr.NumVars }
+func (rd *Reader) NumVars() int { return rd.d.Header.NumVars }
 
 // Var2Level returns the stream's variable order: entry v is the level of
 // public variable v. The slice is owned by the reader.
-func (rd *Reader) Var2Level() []int { return rd.v2l }
+func (rd *Reader) Var2Level() []int { return rd.d.Var2Level }
 
 // Levels returns per-segment statistics, in stream order (deepest level
 // first). Populated by Resolve.
-func (rd *Reader) Levels() []LevelInfo { return rd.levels }
+func (rd *Reader) Levels() []LevelInfo { return rd.d.Levels }
 
 // Resolve reads the level segments, materializing every node through mk
 // in bottom-up order — each call's low/high arguments are terminals or
@@ -94,189 +52,27 @@ func (rd *Reader) Levels() []LevelInfo { return rd.levels }
 // later references to it, so the restored graph is canonical even when
 // the stream was not minimal.
 func (rd *Reader) Resolve(mk func(level int, low, high node.Ref) node.Ref) ([]Root, error) {
-	delta := rd.hdr.Flags&FlagDeltaRefs != 0
-	refs := make([]node.Ref, 0, min(rd.hdr.TotalNodes, 1<<20))
-	prevLevel := rd.hdr.NumVars // segments must descend strictly below this
-	for {
-		kind, payload, err := rd.readSection()
-		if err != nil {
-			return nil, err
+	refs := make([]node.Ref, 0, min(rd.d.Header.TotalNodes, 1<<20))
+	ref := func(c uint64) node.Ref {
+		switch c {
+		case levelfmt.Zero:
+			return node.Zero
+		case levelfmt.One:
+			return node.One
 		}
-		switch kind {
-		case secLevel:
-			p := payloadReader{b: payload}
-			lvlU, err := p.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if lvlU >= uint64(prevLevel) {
-				return nil, corrupt("level segment %d out of order (must descend below %d)", lvlU, prevLevel)
-			}
-			lvl := int(lvlU)
-			count, err := p.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			// Each node costs at least two payload bytes; this bound stops
-			// hostile counts before any proportional allocation.
-			if count == 0 || count > uint64(len(payload))/2 {
-				return nil, corrupt("level %d claims %d nodes in %d payload bytes", lvl, count, len(payload))
-			}
-			base := uint64(len(refs))
-			if base+count > rd.hdr.TotalNodes {
-				return nil, corrupt("more nodes than the header's total %d", rd.hdr.TotalNodes)
-			}
-			for i := uint64(0); i < count; i++ {
-				low, err := p.child(base+i, base, refs, delta)
-				if err != nil {
-					return nil, err
-				}
-				high, err := p.child(base+i, base, refs, delta)
-				if err != nil {
-					return nil, err
-				}
-				refs = append(refs, mk(lvl, low, high))
-			}
-			if !p.empty() {
-				return nil, corrupt("trailing bytes in level %d segment", lvl)
-			}
-			rd.levels = append(rd.levels, LevelInfo{Level: lvl, Count: count, Bytes: len(payload) + 9})
-			prevLevel = lvl
-
-		case secRoots:
-			if uint64(len(refs)) != rd.hdr.TotalNodes {
-				return nil, corrupt("stream has %d nodes, header promised %d", len(refs), rd.hdr.TotalNodes)
-			}
-			p := payloadReader{b: payload}
-			// Each root costs at least two payload bytes (id and encoding
-			// uvarints); this bound stops a hostile NumRoots — the header
-			// CRC is not an integrity guarantee — before any proportional
-			// allocation.
-			if uint64(rd.hdr.NumRoots)*2 > uint64(len(payload)) {
-				return nil, corrupt("header claims %d roots in %d payload bytes", rd.hdr.NumRoots, len(payload))
-			}
-			roots := make([]Root, 0, rd.hdr.NumRoots)
-			for i := 0; i < rd.hdr.NumRoots; i++ {
-				id, err := p.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				enc, err := p.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				var ref node.Ref
-				switch enc {
-				case 0:
-					ref = node.Zero
-				case 1:
-					ref = node.One
-				default:
-					s := enc - 2
-					if s >= uint64(len(refs)) {
-						return nil, corrupt("root %d references node %d of %d", i, s, len(refs))
-					}
-					ref = refs[s]
-				}
-				roots = append(roots, Root{ID: id, Ref: ref})
-			}
-			if !p.empty() {
-				return nil, corrupt("trailing bytes in roots section")
-			}
-			kind, payload, err := rd.readSection()
-			if err != nil {
-				return nil, err
-			}
-			if kind != secEnd || len(payload) != 0 {
-				return nil, corrupt("missing end-of-stream section")
-			}
-			return roots, nil
-
-		default:
-			return nil, corrupt("unexpected section kind %d", kind)
-		}
+		return refs[c]
 	}
-}
-
-// readSection reads one kind/length/payload/crc section. The payload is
-// read in bounded chunks so a hostile length field cannot force a large
-// allocation beyond the bytes actually present.
-func (rd *Reader) readSection() (kind byte, payload []byte, err error) {
-	var hb [5]byte
-	if _, err := io.ReadFull(rd.r, hb[:]); err != nil {
-		return 0, nil, eofErr(err)
-	}
-	kind = hb[0]
-	n := binary.LittleEndian.Uint32(hb[1:])
-	if n > maxSectionLen {
-		return 0, nil, corrupt("section length %d exceeds limit", n)
-	}
-	payload = make([]byte, 0, min(int(n), 64<<10))
-	for remaining := int(n); remaining > 0; {
-		c := min(remaining, 64<<10)
-		start := len(payload)
-		payload = append(payload, make([]byte, c)...)
-		if _, err := io.ReadFull(rd.r, payload[start:]); err != nil {
-			return 0, nil, eofErr(err)
-		}
-		remaining -= c
-	}
-	var crcb [4]byte
-	if _, err := io.ReadFull(rd.r, crcb[:]); err != nil {
-		return 0, nil, eofErr(err)
-	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcb[:]) {
-		return 0, nil, fmt.Errorf("%w: section kind %d", ErrChecksum, kind)
-	}
-	return kind, payload, nil
-}
-
-// payloadReader is a varint cursor over one section's payload.
-type payloadReader struct {
-	b   []byte
-	off int
-}
-
-func (p *payloadReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(p.b[p.off:])
-	if n <= 0 {
-		return 0, corrupt("bad varint at payload offset %d", p.off)
-	}
-	p.off += n
-	return v, nil
-}
-
-func (p *payloadReader) empty() bool { return p.off == len(p.b) }
-
-// child decodes one child reference for the node with sequence number
-// cur. base is the first sequence number of the current level, which is
-// also the exclusive upper bound for children: a valid child lives at a
-// strictly deeper level, i.e. strictly earlier in the stream.
-func (p *payloadReader) child(cur, base uint64, refs []node.Ref, delta bool) (node.Ref, error) {
-	enc, err := p.uvarint()
+	lroots, err := rd.d.Decode(func(level int, lo, hi uint64) {
+		refs = append(refs, mk(level, ref(lo), ref(hi)))
+	})
 	if err != nil {
-		return 0, err
+		return nil, wrap(err)
 	}
-	switch enc {
-	case 0:
-		return node.Zero, nil
-	case 1:
-		return node.One, nil
+	roots := make([]Root, len(lroots))
+	for i, rt := range lroots {
+		roots[i] = Root{ID: rt.ID, Ref: ref(rt.Node)}
 	}
-	var s uint64
-	if delta {
-		d := enc - 1
-		if d > cur {
-			return 0, corrupt("node %d child delta %d reaches before the stream", cur, d)
-		}
-		s = cur - d
-	} else {
-		s = enc - 2
-	}
-	if s >= base {
-		return 0, corrupt("node %d child %d is not at a deeper level", cur, s)
-	}
-	return refs[s], nil
+	return roots, nil
 }
 
 // Info is the result of Inspect: everything about a stream except the
@@ -309,5 +105,5 @@ func Inspect(r io.Reader) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Info{Header: rd.hdr, Var2Level: rd.v2l, Levels: rd.levels, Roots: roots}, nil
+	return &Info{Header: rd.Header(), Var2Level: rd.Var2Level(), Levels: rd.Levels(), Roots: roots}, nil
 }

@@ -1,14 +1,10 @@
 package snapshot
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 
+	"bfbdd/internal/levelfmt"
 	"bfbdd/internal/node"
 )
 
@@ -35,23 +31,12 @@ func Write(w io.Writer, st *node.Store, var2level []int, roots []Root, opts Opti
 		return fmt.Errorf("snapshot: var2level has %d entries for %d levels", len(var2level), L)
 	}
 
-	// Phase 1: mark the subgraph reachable from the roots, one visited
-	// bitmap per (worker, level) arena, allocated lazily so untouched
-	// arenas cost nothing.
-	vis := make([][][]uint64, W)
-	for wk := range vis {
-		vis[wk] = make([][]uint64, L)
-	}
-	visited := func(r node.Ref) bool {
-		wv := vis[r.Worker()][r.Level()]
-		return wv != nil && wv[r.Index()>>6]&(1<<(r.Index()&63)) != 0
-	}
-	setVisited := func(r node.Ref) {
-		wvp := &vis[r.Worker()][r.Level()]
-		if *wvp == nil {
-			*wvp = make([]uint64, (st.Arena(r.Worker(), r.Level()).Len()+63)/64)
-		}
-		(*wvp)[r.Index()>>6] |= 1 << (r.Index() & 63)
+	// Phase 1: mark the subgraph reachable from the roots. seq holds one
+	// slot per node of each (worker, level) arena, allocated lazily so
+	// untouched arenas cost nothing; a slot is 0 until its node is marked.
+	seq := make([][][]uint32, W)
+	for wk := range seq {
+		seq[wk] = make([][]uint32, L)
 	}
 	var stack []node.Ref
 	for i, rt := range roots {
@@ -64,154 +49,57 @@ func Write(w io.Writer, st *node.Store, var2level []int, roots []Root, opts Opti
 	for len(stack) > 0 {
 		r := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if r.IsTerminal() || visited(r) {
+		if r.IsTerminal() {
 			continue
 		}
-		setVisited(r)
+		sq := &seq[r.Worker()][r.Level()]
+		if *sq == nil {
+			*sq = make([]uint32, st.Arena(r.Worker(), r.Level()).Len())
+		}
+		if (*sq)[r.Index()] != 0 {
+			continue
+		}
+		(*sq)[r.Index()] = 1
 		total++
 		nd := st.Node(r)
 		stack = append(stack, nd.Low, nd.High)
 	}
-	if total > math.MaxUint32-2 {
-		return ErrTooLarge
+	enc, err := format.NewEncoder(w, var2level, len(roots), total, opts.RawRefs)
+	if err != nil {
+		return wrap(err)
 	}
 
-	// Phase 2: assign dense sequence numbers bottom-up (deepest level
-	// first, then worker, then arena index) — the exact order segments are
-	// emitted in, so a node's sequence number is its position in the
-	// stream and every child (at a strictly deeper level) numbers lower.
-	seq := make([][][]uint32, W)
-	for wk := range seq {
-		seq[wk] = make([][]uint32, L)
+	// Phase 2: emit the level segments bottom-up (deepest level first,
+	// then worker, then arena index), each a sequential scan of the marked
+	// slots, numbering nodes as they go: a marked slot becomes its node's
+	// stream position plus one. Every child, at a strictly deeper level, is
+	// numbered before its parent is emitted.
+	code := func(r node.Ref) uint64 {
+		switch {
+		case r.IsZero():
+			return levelfmt.Zero
+		case r.IsOne():
+			return levelfmt.One
+		}
+		return uint64(seq[r.Worker()][r.Level()][r.Index()] - 1)
 	}
-	counts := make([]uint64, L)
 	var next uint32
 	for lvl := L - 1; lvl >= 0; lvl-- {
-		for wk := 0; wk < W; wk++ {
-			wv := vis[wk][lvl]
-			if wv == nil {
-				continue
-			}
-			sq := make([]uint32, st.Arena(wk, lvl).Len())
-			for i := range sq {
-				if wv[i>>6]&(1<<(uint(i)&63)) == 0 {
-					continue
-				}
-				sq[i] = next
-				next++
-				counts[lvl]++
-			}
-			seq[wk][lvl] = sq
-		}
-	}
-
-	flags := uint16(FlagDeltaRefs)
-	if opts.RawRefs {
-		flags = 0
-	}
-	bw := bufio.NewWriter(w)
-	hdr := Header{Version: Version, Flags: flags, NumVars: L, NumRoots: len(roots), TotalNodes: total}
-	if _, err := bw.Write(hdr.encode()); err != nil {
-		return err
-	}
-
-	var buf bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf.Write(scratch[:n])
-	}
-
-	// Variable-order section.
-	for _, l := range var2level {
-		putUvarint(uint64(l))
-	}
-	if err := writeSection(bw, secVarOrder, buf.Bytes()); err != nil {
-		return err
-	}
-
-	seqOf := func(r node.Ref) uint32 { return seq[r.Worker()][r.Level()][r.Index()] }
-	encChild := func(cur uint32, c node.Ref) uint64 {
-		switch {
-		case c.IsZero():
-			return 0
-		case c.IsOne():
-			return 1
-		case opts.RawRefs:
-			return 2 + uint64(seqOf(c))
-		default:
-			return 1 + uint64(cur) - uint64(seqOf(c))
-		}
-	}
-
-	// Level segments, bottom-up, each a sequential scan of the arenas.
-	var cur uint32
-	for lvl := L - 1; lvl >= 0; lvl-- {
-		if counts[lvl] == 0 {
-			continue
-		}
-		buf.Reset()
-		putUvarint(uint64(lvl))
-		putUvarint(counts[lvl])
-		for wk := 0; wk < W; wk++ {
-			wv := vis[wk][lvl]
-			if wv == nil {
-				continue
-			}
+		for wk, sqs := range seq {
 			a := st.Arena(wk, lvl)
-			for i := uint64(0); i < a.Len(); i++ {
-				if wv[i>>6]&(1<<(i&63)) == 0 {
-					continue
+			for i, s := range sqs[lvl] {
+				if s != 0 {
+					next++
+					sqs[lvl][i] = next
+					nd := a.At(uint64(i))
+					enc.Node(lvl, code(nd.Low), code(nd.High))
 				}
-				nd := a.At(i)
-				putUvarint(encChild(cur, nd.Low))
-				putUvarint(encChild(cur, nd.High))
-				cur++
 			}
 		}
-		if err := writeSection(bw, secLevel, buf.Bytes()); err != nil {
-			return err
-		}
 	}
-
-	// Roots section: IDs plus raw-encoded node numbers.
-	buf.Reset()
-	for _, rt := range roots {
-		putUvarint(rt.ID)
-		switch {
-		case rt.Ref.IsZero():
-			putUvarint(0)
-		case rt.Ref.IsOne():
-			putUvarint(1)
-		default:
-			putUvarint(2 + uint64(seqOf(rt.Ref)))
-		}
+	lroots := make([]levelfmt.Root, len(roots))
+	for i, rt := range roots {
+		lroots[i] = levelfmt.Root{ID: rt.ID, Node: code(rt.Ref)}
 	}
-	if err := writeSection(bw, secRoots, buf.Bytes()); err != nil {
-		return err
-	}
-	if err := writeSection(bw, secEnd, nil); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// writeSection emits one kind/length/payload/crc section.
-func writeSection(w io.Writer, kind byte, payload []byte) error {
-	if len(payload) > maxSectionLen {
-		return ErrTooLarge
-	}
-	var hdr [5]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(crcb[:])
-	return err
+	return wrap(enc.Finish(lroots))
 }

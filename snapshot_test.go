@@ -3,9 +3,11 @@ package bfbdd_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -370,46 +372,38 @@ func TestRestoreHostileRootCount(t *testing.T) {
 	}
 }
 
-// TestRestoreTypedErrors exercises the specific error classes.
+// TestRestoreTypedErrors runs the codec's hostile-input table for this
+// format (written by the levelfmt tests) through RestoreManager, which
+// must keep every typed error visible through its wrapping.
 func TestRestoreTypedErrors(t *testing.T) {
-	stream := validStream(t)
-
-	t.Run("bad-magic", func(t *testing.T) {
-		mut := append([]byte(nil), stream...)
-		mut[0] = 'X'
-		if _, _, err := bfbdd.RestoreManager(bytes.NewReader(mut)); !errors.Is(err, snapshot.ErrBadMagic) {
-			t.Fatalf("err = %v, want ErrBadMagic", err)
-		}
-	})
-	t.Run("bad-version", func(t *testing.T) {
-		// Patch the version field and re-seal the header CRC so the version
-		// check (not the checksum) fires.
-		mut := append([]byte(nil), stream...)
-		mut[8] = 99
-		resealHeader(mut)
-		if _, _, err := bfbdd.RestoreManager(bytes.NewReader(mut)); !errors.Is(err, snapshot.ErrVersion) {
-			t.Fatalf("err = %v, want ErrVersion", err)
-		}
-	})
-	t.Run("bad-flags", func(t *testing.T) {
-		mut := append([]byte(nil), stream...)
-		mut[10] = 0xFE
-		resealHeader(mut)
-		if _, _, err := bfbdd.RestoreManager(bytes.NewReader(mut)); !errors.Is(err, snapshot.ErrVersion) {
-			t.Fatalf("err = %v, want ErrVersion", err)
-		}
-	})
-	t.Run("payload-bit-rot", func(t *testing.T) {
-		mut := append([]byte(nil), stream...)
-		mut[len(mut)/2] ^= 0x10 // lands in some section payload or its CRC
-		_, _, err := bfbdd.RestoreManager(bytes.NewReader(mut))
-		if err == nil {
-			t.Fatalf("bit rot restored successfully")
-		}
-	})
-	t.Run("empty", func(t *testing.T) {
-		if _, _, err := bfbdd.RestoreManager(bytes.NewReader(nil)); !errors.Is(err, snapshot.ErrTruncated) {
-			t.Fatalf("err = %v, want ErrTruncated", err)
-		}
-	})
+	b, err := os.ReadFile("internal/levelfmt/testdata/hostile-" + snapshot.Magic + ".json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vectors []struct {
+		Name, Want string
+		Data       []byte
+	}
+	if err := json.Unmarshal(b, &vectors); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vectors {
+		t.Run(v.Name, func(t *testing.T) {
+			m, _, err := bfbdd.RestoreManager(bytes.NewReader(v.Data))
+			if v.Want == "" {
+				if err != nil {
+					t.Fatalf("valid stream rejected: %v", err)
+				}
+				m.Close()
+				return
+			}
+			for _, te := range []error{snapshot.ErrBadMagic, snapshot.ErrVersion, snapshot.ErrChecksum,
+				snapshot.ErrTruncated, snapshot.ErrCorrupt, snapshot.ErrTooLarge} {
+				if errors.Is(err, te) && te.Error() == v.Want {
+					return
+				}
+			}
+			t.Fatalf("error %v, want %q", err, v.Want)
+		})
+	}
 }
