@@ -491,11 +491,6 @@ func runExport(args []string) error {
 		case wal.GCRec:
 			seq.Ops = append(seq.Ops, oracle.OpRec{Kind: oracle.KGC})
 			return nil
-		case wal.SetOrderRec:
-			// The oracle grammar only has seeded random reorders; a reorder
-			// does not change any function, so the export stays faithful.
-			skipped++
-			return nil
 		}
 		skipped++
 		return nil

@@ -17,7 +17,6 @@ import (
 	"bfbdd/internal/faultinject"
 	"bfbdd/internal/retry"
 	"bfbdd/internal/wal"
-	"bfbdd/internal/walreplay"
 )
 
 // Durability file layout, per session, inside Config.CheckpointDir:
@@ -667,13 +666,11 @@ func (c *checkpointer) createOptions(id string) (SessionOptions, error) {
 // session's manager and handle table, on the session's executor.
 func (c *checkpointer) replayInto(s *session, base uint64) (stats wal.ReplayStats, closed bool, err error) {
 	err = s.exec.submit(context.Background(), func(context.Context) error {
-		st := &walreplay.State{Mgr: s.mgr, Handles: s.handles, NextHandle: s.nextHandle}
 		var ferr error
 		stats, ferr = wal.ReplayTail(c.walDir, s.id, base, func(e wal.Entry) error {
-			return st.Apply(e.Rec)
+			return s.st.Apply(e.Rec)
 		})
-		s.nextHandle = st.NextHandle
-		closed = st.Closed
+		closed = s.st.Closed
 		return ferr
 	})
 	return stats, closed, err

@@ -128,7 +128,7 @@ func buildAchilles(t *testing.T, sess *session, pairs int) (handle uint64) {
 		for i := 0; i < pairs; i++ {
 			f = f.Or(m.Var(i).And(m.Var(pairs + i)))
 		}
-		handle = sess.put(f)
+		handle = sess.st.Put(f)
 		return nil
 	})
 	if err != nil {
@@ -165,7 +165,7 @@ func TestCheckpointCrashRecovery(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(1))
 	err = sess.exec.submit(context.Background(), func(context.Context) error {
-		b := sess.handles[h]
+		b := sess.st.Handles[h]
 		preNodes = sess.mgr.NumNodes()
 		satCount = b.SatCount().String()
 		for i := 0; i < 64; i++ {
@@ -218,7 +218,7 @@ func TestCheckpointCrashRecovery(t *testing.T) {
 	}
 
 	err = sess2.exec.submit(context.Background(), func(context.Context) error {
-		b, err := sess2.bdd(h)
+		b, err := sess2.st.Get(h)
 		if err != nil {
 			return fmt.Errorf("original handle gone: %w", err)
 		}

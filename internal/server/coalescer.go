@@ -130,8 +130,8 @@ func (c *coalescer) flush() {
 	}
 }
 
-// runBatch executes one coalesced batch on the executor goroutine:
-// resolve handles, ApplyBatchCtx, register results.
+// runBatch executes one coalesced batch on the executor goroutine and
+// answers every call.
 //
 // Trace shape: every traced call gets a "queue-wait" span covering the
 // interval from submit to the batch reaching the executor. The first
@@ -142,7 +142,7 @@ func (c *coalescer) flush() {
 // member trace can be correlated with the owner's full breakdown.
 func (c *coalescer) runBatch(ctx context.Context, calls []*applyCall) {
 	var (
-		owner     *applyCall
+		tr        *trace.Trace // the owner's trace; nil when no call is traced
 		batchSpan trace.SpanID
 		batchID   int64
 	)
@@ -152,8 +152,8 @@ func (c *coalescer) runBatch(ctx context.Context, calls []*applyCall) {
 			continue
 		}
 		call.tr.Add(call.parent, "queue-wait", call.enq, started)
-		if owner == nil {
-			owner = call
+		if tr == nil {
+			tr = call.tr
 			batchID = int64(trace.NextBatchID())
 			batchSpan = call.tr.Start(call.parent, "batch")
 		} else {
@@ -161,32 +161,43 @@ func (c *coalescer) runBatch(ctx context.Context, calls []*applyCall) {
 				trace.I("batch_id", batchID))
 		}
 	}
-	if owner != nil {
-		ctx = trace.NewContext(ctx, owner.tr, batchSpan)
-		defer func() {
-			owner.tr.End(batchSpan,
-				trace.I("batch_id", batchID), trace.I("ops", int64(len(calls))))
-		}()
+	if tr != nil {
+		ctx = trace.NewContext(ctx, tr, batchSpan)
 	}
+	res := c.build(ctx, calls, tr, batchSpan, started)
+	// Close the batch span before answering anyone: an answered owner
+	// seals its trace, and a span still open then is exported unfinished.
+	tr.End(batchSpan, trace.I("batch_id", batchID), trace.I("ops", int64(len(calls))))
+	for i, call := range calls {
+		call.resp <- res[i]
+	}
+}
 
+// build resolves the calls' handles, runs them as one ApplyBatchCtx and
+// registers the results; it returns each call's answer, index-aligned
+// with calls.
+func (c *coalescer) build(ctx context.Context, calls []*applyCall, tr *trace.Trace, batchSpan trace.SpanID, started time.Time) []applyResult {
+	res := make([]applyResult, len(calls))
 	ops := make([]bfbdd.BatchOp, 0, len(calls))
-	live := make([]*applyCall, 0, len(calls))
-	for _, call := range calls {
-		f, errF := c.sess.bdd(call.f)
+	recs := make([]wal.ApplyRec, 0, len(calls))
+	live := make([]int, 0, len(calls)) // indices into calls, aligned with ops
+	for i, call := range calls {
+		f, errF := c.sess.st.Get(call.f)
 		if errF != nil {
-			call.resp <- applyResult{err: errF}
+			res[i].err = errF
 			continue
 		}
-		g, errG := c.sess.bdd(call.g)
+		g, errG := c.sess.st.Get(call.g)
 		if errG != nil {
-			call.resp <- applyResult{err: errG}
+			res[i].err = errG
 			continue
 		}
 		ops = append(ops, bfbdd.BatchOp{Kind: call.kind, F: f, G: g})
-		live = append(live, call)
+		recs = append(recs, wal.ApplyRec{Op: uint8(call.kind), F: call.f, G: call.g})
+		live = append(live, i)
 	}
 	if len(live) == 0 {
-		return
+		return res
 	}
 	var before bfbdd.Stats
 	if c.sess.slowThreshold > 0 {
@@ -197,74 +208,30 @@ func (c *coalescer) runBatch(ctx context.Context, calls []*applyCall) {
 	if err != nil {
 		c.sess.noteFailure(err)
 		err = fmt.Errorf("batch build aborted: %w", err)
-		// A partially completed batch (budget abort, injected fault) still
-		// produced some results; their callers get real handles — which
-		// means those operations are acknowledged and must hit the journal
-		// first, as one commit group. If the journal refuses, every caller
-		// sees the failure and the puts are rolled back.
-		var recs []wal.ApplyRec
-		var kept []*bfbdd.BDD
-		var keptIdx []int
-		for i, b := range results {
-			if b == nil {
-				continue
-			}
-			h := c.sess.put(b)
-			recs = append(recs, wal.ApplyRec{Op: uint8(live[i].kind), F: live[i].f, G: live[i].g, Handle: h})
-			kept = append(kept, b)
-			keptIdx = append(keptIdx, i)
-		}
-		if jerr := journalAppliesT(c.sess, ownerTrace(owner), batchSpan, recs); jerr != nil {
-			for i := len(kept) - 1; i >= 0; i-- {
-				c.sess.unput(recs[i].Handle, kept[i])
-			}
-			for _, call := range live {
-				call.resp <- applyResult{err: jerr}
-			}
-			return
-		}
-		done := make(map[int]int, len(keptIdx)) // live index -> recs index
-		for ri, i := range keptIdx {
-			done[i] = ri
-		}
-		for i, call := range live {
-			if ri, ok := done[i]; ok {
-				call.resp <- applyResult{handle: recs[ri].Handle, nodes: kept[ri].Size()}
-				continue
-			}
-			call.resp <- applyResult{err: err}
-		}
-		return
 	}
-	handles := make([]uint64, len(live))
-	recs := make([]wal.ApplyRec, len(live))
-	for i, call := range live {
-		handles[i] = c.sess.put(results[i])
-		recs[i] = wal.ApplyRec{Op: uint8(call.kind), F: call.f, G: call.g, Handle: handles[i]}
-	}
-	if jerr := journalAppliesT(c.sess, ownerTrace(owner), batchSpan, recs); jerr != nil {
-		for i := len(live) - 1; i >= 0; i-- {
-			c.sess.unput(handles[i], results[i])
+	// A partially completed batch (budget abort, injected fault) still
+	// produced some results; their callers get real handles — which means
+	// those operations are acknowledged and must hit the journal first, as
+	// one commit group. If the journal refuses, every caller sees the
+	// failure.
+	if jerr := c.sess.registerApplies(tr, batchSpan, recs, results); jerr != nil {
+		for _, i := range live {
+			res[i].err = jerr
 		}
-		for _, call := range live {
-			call.resp <- applyResult{err: jerr}
+		return res
+	}
+	if err == nil {
+		c.m.coalescedBatches.Add(1)
+		c.m.coalescedOps.Add(uint64(len(live)))
+	}
+	for j, i := range live {
+		if j < len(results) && results[j] != nil {
+			res[i] = applyResult{handle: recs[j].Handle, nodes: results[j].Size()}
+		} else {
+			res[i].err = err
 		}
-		return
 	}
-	c.m.coalescedBatches.Add(1)
-	c.m.coalescedOps.Add(uint64(len(live)))
-	for i, call := range live {
-		call.resp <- applyResult{handle: handles[i], nodes: results[i].Size()}
-	}
-}
-
-// ownerTrace returns the owning call's trace, nil when the batch has no
-// traced member.
-func ownerTrace(owner *applyCall) *trace.Trace {
-	if owner == nil {
-		return nil
-	}
-	return owner.tr
+	return res
 }
 
 // close rejects future submits and fails any batch still forming. Queued

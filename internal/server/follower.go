@@ -18,7 +18,6 @@ import (
 	"bfbdd/internal/replication"
 	"bfbdd/internal/retry"
 	"bfbdd/internal/wal"
-	"bfbdd/internal/walreplay"
 )
 
 // The follower side of hot-standby replication: a reconcile loop that
@@ -568,17 +567,14 @@ func (p *puller) apply(sess *session, batch *replication.WALBatch) error {
 		if got := sess.wal.Seq(); got != want {
 			return fmt.Errorf("%w: local log at %d after appending through %d", errReplDiverged, got, want)
 		}
-		st := &walreplay.State{Mgr: sess.mgr, Handles: sess.handles, NextHandle: sess.nextHandle}
 		for _, rec := range recs {
-			if aerr := st.Apply(rec); aerr != nil {
-				sess.nextHandle = st.NextHandle
+			if aerr := sess.st.Apply(rec); aerr != nil {
 				return fmt.Errorf("%w: applying record: %v", errReplDiverged, aerr)
 			}
 		}
-		sess.nextHandle = st.NextHandle
 		applied = uint64(len(recs))
 		p.localSeq.Store(want)
-		if st.Closed {
+		if sess.st.Closed {
 			return errReplClosed
 		}
 		return nil

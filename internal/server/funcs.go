@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -321,18 +320,14 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	err = run(r, sess, func(context.Context) error {
 		handles := req.Handles
 		if len(handles) == 0 {
-			handles = make([]uint64, 0, len(sess.handles))
-			for h := range sess.handles {
-				handles = append(handles, h)
-			}
-			slices.Sort(handles)
+			handles = sess.handleIDs()
 		}
 		if len(handles) == 0 {
 			return fmt.Errorf("%w: session has no handles to publish", errBadRequest)
 		}
 		roots := make([]bfbdd.SnapshotRoot, len(handles))
 		for i, h := range handles {
-			b, err := sess.bdd(h)
+			b, err := sess.st.Get(h)
 			if err != nil {
 				return err
 			}

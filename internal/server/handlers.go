@@ -10,7 +10,6 @@ import (
 	"hash/fnv"
 	"log"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -21,6 +20,7 @@ import (
 	"bfbdd/internal/replication"
 	"bfbdd/internal/trace"
 	"bfbdd/internal/wal"
+	"bfbdd/internal/walreplay"
 )
 
 // writeJSON writes v as the JSON response body.
@@ -42,7 +42,8 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 // errStatus maps service errors to HTTP statuses.
 func errStatus(err error) int {
 	switch {
-	case errors.Is(err, errBadRequest), errors.Is(err, errNoHandle):
+	case errors.Is(err, errBadRequest), errors.Is(err, errNoHandle),
+		errors.Is(err, walreplay.ErrInvalid):
 		return http.StatusBadRequest
 	case errors.Is(err, errNoSession), errors.Is(err, errNoFunc):
 		return http.StatusNotFound
@@ -218,25 +219,6 @@ func run(r *http.Request, sess *session, fn func(ctx context.Context) error) err
 	return err
 }
 
-// journalApplies journals a group of binary applies as one commit group:
-// a bare apply record for a single operation, one batch record otherwise.
-func journalApplies(sess *session, recs []wal.ApplyRec) error {
-	return journalAppliesT(sess, nil, 0, recs)
-}
-
-// journalAppliesT is journalApplies under an explicit trace (the
-// coalescer threads the batch owner's trace; nil when untraced).
-func journalAppliesT(sess *session, t *trace.Trace, parent trace.SpanID, recs []wal.ApplyRec) error {
-	switch len(recs) {
-	case 0:
-		return nil
-	case 1:
-		return sess.journalT(t, parent, recs[0])
-	default:
-		return sess.journalT(t, parent, wal.BatchRec{Ops: recs})
-	}
-}
-
 // poolBytes sums the engine memory footprint of every live session from
 // the lock-free stats snapshots (a scrape-safe approximation: snapshots
 // refresh after each executor task). With memory tiering on, the engine
@@ -389,7 +371,14 @@ type handleResp struct {
 	Nodes  int    `json:"nodes"`
 }
 
-func (s *Server) handleVar(w http.ResponseWriter, r *http.Request) {
+// construct serves one handle-producing construction route. The route
+// supplies only its JSON request shape (decoded into req) and the record
+// it maps to under the next wire handle h; everything else is shared. The
+// record runs through the session's walreplay state — the same Apply
+// that recovery and followers replay it with — and is journaled before
+// its handle is acknowledged. A refused journal undoes the binding, so the
+// next operation reuses the handle number.
+func (s *Server) construct(w http.ResponseWriter, r *http.Request, req any, record func(h uint64) (wal.Record, error)) {
 	if s.refuseWrites(w) || s.shed(w, r) {
 		return
 	}
@@ -398,32 +387,25 @@ func (s *Server) handleVar(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	var req struct {
-		Index   int  `json:"index"`
-		Negated bool `json:"negated,omitempty"`
-	}
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(w, r, req); err != nil {
 		fail(w, err)
-		return
-	}
-	if req.Index < 0 || req.Index >= sess.vars {
-		fail(w, fmt.Errorf("%w: variable %d out of range [0,%d)", errBadRequest, req.Index, sess.vars))
 		return
 	}
 	var resp handleResp
 	err = run(r, sess, func(ctx context.Context) error {
-		var b *bfbdd.BDD
-		if req.Negated {
-			b = sess.mgr.NVar(req.Index)
-		} else {
-			b = sess.mgr.Var(req.Index)
-		}
-		h := sess.put(b)
-		if err := sess.journalCtx(ctx, wal.VarRec{Index: req.Index, Negated: req.Negated, Handle: h}); err != nil {
-			sess.unput(h, b)
+		h := sess.st.NextHandle + 1
+		rec, err := record(h)
+		if err != nil {
 			return err
 		}
-		resp = handleResp{Handle: h, Nodes: b.Size()}
+		if err := sess.st.Apply(rec); err != nil {
+			return err
+		}
+		if err := sess.journalCtx(ctx, rec); err != nil {
+			sess.st.Undo(h)
+			return err
+		}
+		resp = handleResp{Handle: h, Nodes: sess.st.Handles[h].Size()}
 		return nil
 	})
 	if err != nil {
@@ -433,43 +415,23 @@ func (s *Server) handleVar(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+func (s *Server) handleVar(w http.ResponseWriter, r *http.Request) {
+	var req struct {
+		Index   int  `json:"index"`
+		Negated bool `json:"negated,omitempty"`
+	}
+	s.construct(w, r, &req, func(h uint64) (wal.Record, error) {
+		return wal.VarRec{Index: req.Index, Negated: req.Negated, Handle: h}, nil
+	})
+}
+
 func (s *Server) handleConst(w http.ResponseWriter, r *http.Request) {
-	if s.refuseWrites(w) || s.shed(w, r) {
-		return
-	}
-	sess, err := s.sessionOf(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
 	var req struct {
 		Value bool `json:"value"`
 	}
-	if err := decode(w, r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	var resp handleResp
-	err = run(r, sess, func(ctx context.Context) error {
-		var b *bfbdd.BDD
-		if req.Value {
-			b = sess.mgr.One()
-		} else {
-			b = sess.mgr.Zero()
-		}
-		h := sess.put(b)
-		if err := sess.journalCtx(ctx, wal.ConstRec{Value: req.Value, Handle: h}); err != nil {
-			sess.unput(h, b)
-			return err
-		}
-		resp = handleResp{Handle: h}
-		return nil
+	s.construct(w, r, &req, func(h uint64) (wal.Record, error) {
+		return wal.ConstRec{Value: req.Value, Handle: h}, nil
 	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleApply is the coalesced binary-apply endpoint: concurrent applies
@@ -554,18 +516,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var completed []completedOp
 	err = run(r, sess, func(ctx context.Context) error {
-		btr, bparent := trace.FromContext(ctx)
 		ops := make([]bfbdd.BatchOp, len(req.Ops))
+		recs := make([]wal.ApplyRec, len(req.Ops))
 		for i, op := range req.Ops {
-			f, err := sess.bdd(op.F)
+			f, err := sess.st.Get(op.F)
 			if err != nil {
 				return err
 			}
-			g, err := sess.bdd(op.G)
+			g, err := sess.st.Get(op.G)
 			if err != nil {
 				return err
 			}
 			ops[i] = bfbdd.BatchOp{Kind: kinds[i], F: f, G: g}
+			recs[i] = wal.ApplyRec{Op: uint8(kinds[i]), F: op.F, G: op.G}
 		}
 		var before bfbdd.Stats
 		if sess.slowThreshold > 0 {
@@ -574,45 +537,27 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		results, err := sess.mgr.ApplyBatchCtx(ctx, ops)
 		sess.noteSlowBuild("batch", time.Since(t0), before)
+		// Operations that finished before an abort are acknowledged as real
+		// handles too, so they are journaled like any success; if the
+		// journal refuses, nothing was acknowledged and its error is the
+		// answer.
+		btr, bparent := trace.FromContext(ctx)
+		if jerr := sess.registerApplies(btr, bparent, recs, results); jerr != nil {
+			return jerr
+		}
 		if err != nil {
-			// The operations that did finish are acknowledged as real
-			// handles, so they must be journaled like any success — as one
-			// commit group. If the journal refuses, nothing was acknowledged:
-			// roll the puts back (newest first, so handle numbering rewinds)
-			// and surface the journal error alone.
-			var recs []wal.ApplyRec
-			var kept []*bfbdd.BDD
 			for i, b := range results {
-				if b == nil {
-					continue
+				if b != nil {
+					completed = append(completed, completedOp{Index: i, Handle: recs[i].Handle, Nodes: b.Size()})
 				}
-				h := sess.put(b)
-				completed = append(completed, completedOp{Index: i, Handle: h, Nodes: b.Size()})
-				recs = append(recs, wal.ApplyRec{Op: uint8(kinds[i]), F: req.Ops[i].F, G: req.Ops[i].G, Handle: h})
-				kept = append(kept, b)
-			}
-			if jerr := journalAppliesT(sess, btr, bparent, recs); jerr != nil {
-				for i := len(kept) - 1; i >= 0; i-- {
-					sess.unput(recs[i].Handle, kept[i])
-				}
-				completed = nil
-				return jerr
 			}
 			return err
 		}
 		resp.Handles = make([]uint64, len(results))
 		resp.Nodes = make([]int, len(results))
-		recs := make([]wal.ApplyRec, len(results))
 		for i, b := range results {
-			resp.Handles[i] = sess.put(b)
+			resp.Handles[i] = recs[i].Handle
 			resp.Nodes[i] = b.Size()
-			recs[i] = wal.ApplyRec{Op: uint8(kinds[i]), F: req.Ops[i].F, G: req.Ops[i].G, Handle: resp.Handles[i]}
-		}
-		if jerr := journalAppliesT(sess, btr, bparent, recs); jerr != nil {
-			for i := len(results) - 1; i >= 0; i-- {
-				sess.unput(resp.Handles[i], results[i])
-			}
-			return jerr
 		}
 		return nil
 	})
@@ -636,222 +581,59 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleITE(w http.ResponseWriter, r *http.Request) {
-	if s.refuseWrites(w) || s.shed(w, r) {
-		return
-	}
-	sess, err := s.sessionOf(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
 	var req struct {
 		F uint64 `json:"f"`
 		G uint64 `json:"g"`
 		H uint64 `json:"h"`
 	}
-	if err := decode(w, r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	var resp handleResp
-	err = run(r, sess, func(ctx context.Context) error {
-		f, err := sess.bdd(req.F)
-		if err != nil {
-			return err
-		}
-		g, err := sess.bdd(req.G)
-		if err != nil {
-			return err
-		}
-		h, err := sess.bdd(req.H)
-		if err != nil {
-			return err
-		}
-		b := f.ITE(g, h)
-		hn := sess.put(b)
-		if err := sess.journalCtx(ctx, wal.ITERec{F: req.F, G: req.G, H: req.H, Handle: hn}); err != nil {
-			sess.unput(hn, b)
-			return err
-		}
-		resp = handleResp{Handle: hn, Nodes: b.Size()}
-		return nil
+	s.construct(w, r, &req, func(h uint64) (wal.Record, error) {
+		return wal.ITERec{F: req.F, G: req.G, H: req.H, Handle: h}, nil
 	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleNot(w http.ResponseWriter, r *http.Request) {
-	if s.refuseWrites(w) || s.shed(w, r) {
-		return
-	}
-	sess, err := s.sessionOf(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
 	var req struct {
 		F uint64 `json:"f"`
 	}
-	if err := decode(w, r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	var resp handleResp
-	err = run(r, sess, func(ctx context.Context) error {
-		f, err := sess.bdd(req.F)
-		if err != nil {
-			return err
-		}
-		b := f.Not()
-		h := sess.put(b)
-		if err := sess.journalCtx(ctx, wal.NotRec{F: req.F, Handle: h}); err != nil {
-			sess.unput(h, b)
-			return err
-		}
-		resp = handleResp{Handle: h, Nodes: b.Size()}
-		return nil
+	s.construct(w, r, &req, func(h uint64) (wal.Record, error) {
+		return wal.NotRec{F: req.F, Handle: h}, nil
 	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleQuantify(w http.ResponseWriter, r *http.Request) {
-	if s.refuseWrites(w) || s.shed(w, r) {
-		return
-	}
-	sess, err := s.sessionOf(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
 	var req struct {
 		Kind string `json:"kind"` // exists | forall
 		F    uint64 `json:"f"`
 		Vars []int  `json:"vars"`
 	}
-	if err := decode(w, r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	if req.Kind != "exists" && req.Kind != "forall" {
-		fail(w, fmt.Errorf("%w: unknown quantifier %q", errBadRequest, req.Kind))
-		return
-	}
-	var resp handleResp
-	err = run(r, sess, func(ctx context.Context) error {
-		f, err := sess.bdd(req.F)
-		if err != nil {
-			return err
+	s.construct(w, r, &req, func(h uint64) (wal.Record, error) {
+		if req.Kind != "exists" && req.Kind != "forall" {
+			return nil, fmt.Errorf("%w: unknown quantifier %q", errBadRequest, req.Kind)
 		}
-		var b *bfbdd.BDD
-		if req.Kind == "exists" {
-			b = f.Exists(req.Vars...)
-		} else {
-			b = f.Forall(req.Vars...)
-		}
-		h := sess.put(b)
-		if err := sess.journalCtx(ctx, wal.QuantifyRec{Forall: req.Kind == "forall", F: req.F, Vars: req.Vars, Handle: h}); err != nil {
-			sess.unput(h, b)
-			return err
-		}
-		resp = handleResp{Handle: h, Nodes: b.Size()}
-		return nil
+		return wal.QuantifyRec{Forall: req.Kind == "forall", F: req.F, Vars: req.Vars, Handle: h}, nil
 	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleRestrict(w http.ResponseWriter, r *http.Request) {
-	if s.refuseWrites(w) || s.shed(w, r) {
-		return
-	}
-	sess, err := s.sessionOf(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
 	var req struct {
 		F     uint64 `json:"f"`
 		Var   int    `json:"var"`
 		Value bool   `json:"value"`
 	}
-	if err := decode(w, r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	var resp handleResp
-	err = run(r, sess, func(ctx context.Context) error {
-		f, err := sess.bdd(req.F)
-		if err != nil {
-			return err
-		}
-		b := f.Restrict(req.Var, req.Value)
-		h := sess.put(b)
-		if err := sess.journalCtx(ctx, wal.RestrictRec{F: req.F, Var: req.Var, Value: req.Value, Handle: h}); err != nil {
-			sess.unput(h, b)
-			return err
-		}
-		resp = handleResp{Handle: h, Nodes: b.Size()}
-		return nil
+	s.construct(w, r, &req, func(h uint64) (wal.Record, error) {
+		return wal.RestrictRec{F: req.F, Var: req.Var, Value: req.Value, Handle: h}, nil
 	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
-	if s.refuseWrites(w) || s.shed(w, r) {
-		return
-	}
-	sess, err := s.sessionOf(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
 	var req struct {
 		F   uint64 `json:"f"`
 		Var int    `json:"var"`
 		G   uint64 `json:"g"`
 	}
-	if err := decode(w, r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	var resp handleResp
-	err = run(r, sess, func(ctx context.Context) error {
-		f, err := sess.bdd(req.F)
-		if err != nil {
-			return err
-		}
-		g, err := sess.bdd(req.G)
-		if err != nil {
-			return err
-		}
-		b := f.Compose(req.Var, g)
-		h := sess.put(b)
-		if err := sess.journalCtx(ctx, wal.ComposeRec{F: req.F, G: req.G, Var: req.Var, Handle: h}); err != nil {
-			sess.unput(h, b)
-			return err
-		}
-		resp = handleResp{Handle: h, Nodes: b.Size()}
-		return nil
+	s.construct(w, r, &req, func(h uint64) (wal.Record, error) {
+		return wal.ComposeRec{F: req.F, G: req.G, Var: req.Var, Handle: h}, nil
 	})
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleFree(w http.ResponseWriter, r *http.Request) {
@@ -870,16 +652,16 @@ func (s *Server) handleFree(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	var freed int
 	err = run(r, sess, func(ctx context.Context) error {
-		// Validate the whole list before journaling anything: the free is
-		// acknowledged all-or-nothing, and its record must describe only
-		// frees that then actually happen (replay treats a missing handle
-		// as divergence). Duplicates in one request hit the seen-check the
-		// same way a double free across requests hits the handle table.
+		// Validate the whole list before journaling anything: a free cannot
+		// be rolled back, so it is journaled first and its record must
+		// describe only frees that then actually happen (replay treats a
+		// missing handle as divergence). Duplicates in one request hit the
+		// seen-check the same way a double free across requests hits the
+		// handle table.
 		seen := make(map[uint64]struct{}, len(req.Handles))
 		for _, h := range req.Handles {
-			if _, err := sess.bdd(h); err != nil {
+			if _, err := sess.st.Get(h); err != nil {
 				return err
 			}
 			if _, dup := seen[h]; dup {
@@ -887,22 +669,17 @@ func (s *Server) handleFree(w http.ResponseWriter, r *http.Request) {
 			}
 			seen[h] = struct{}{}
 		}
-		if err := sess.journalCtx(ctx, wal.FreeRec{Handles: req.Handles}); err != nil {
+		rec := wal.FreeRec{Handles: req.Handles}
+		if err := sess.journalCtx(ctx, rec); err != nil {
 			return err
 		}
-		for _, h := range req.Handles {
-			if err := sess.free(h); err != nil {
-				return err
-			}
-			freed++
-		}
-		return nil
+		return sess.st.Apply(rec)
 	})
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"freed": freed})
+	writeJSON(w, http.StatusOK, map[string]int{"freed": len(req.Handles)})
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -923,7 +700,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp any
 	err = run(r, sess, func(context.Context) error {
-		f, err := sess.bdd(req.F)
+		f, err := sess.st.Get(req.F)
 		if err != nil {
 			return err
 		}
@@ -952,7 +729,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			resp = map[string][]int{"vars": vars}
 		case "equal":
-			g, err := sess.bdd(req.G)
+			g, err := sess.st.Get(req.G)
 			if err != nil {
 				return err
 			}
@@ -1084,7 +861,7 @@ func (s *Server) handleDOT(w http.ResponseWriter, r *http.Request) {
 	}
 	var buf bytes.Buffer
 	err = run(r, sess, func(context.Context) error {
-		b, err := sess.bdd(h)
+		b, err := sess.st.Get(h)
 		if err != nil {
 			return err
 		}
@@ -1180,7 +957,7 @@ func (s *Server) handleRestoreSession(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	handles := make([]uint64, 0, len(sess.handles))
+	var handles []uint64
 	// The session was just committed and has served nothing yet, but reads
 	// still go through the executor: another client that guessed the id
 	// could already be mutating the handle table. If the executor refuses
@@ -1188,10 +965,7 @@ func (s *Server) handleRestoreSession(w http.ResponseWriter, r *http.Request) {
 	// be reported accurately, so fail the request; the session itself may
 	// still exist and is discoverable via GET /v1/sessions.
 	if err := run(r, sess, func(context.Context) error {
-		for h := range sess.handles {
-			handles = append(handles, h)
-		}
-		slices.Sort(handles)
+		handles = sess.handleIDs()
 		return nil
 	}); err != nil {
 		fail(w, fmt.Errorf("session %s restored, but listing its handles failed: %w", sess.id, err))

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bfbdd"
+	"bfbdd/internal/wal"
 )
 
 // TestExecutorSharedManagerRace has many goroutines driving one session's
@@ -37,7 +38,7 @@ func TestExecutorSharedManagerRace(t *testing.T) {
 	var seeds []uint64
 	err = sess.exec.submit(context.Background(), func(context.Context) error {
 		for i := 0; i < vars; i++ {
-			seeds = append(seeds, sess.put(sess.mgr.Var(i)))
+			seeds = append(seeds, sess.st.Put(sess.mgr.Var(i)))
 		}
 		return nil
 	})
@@ -71,11 +72,11 @@ func TestExecutorSharedManagerRace(t *testing.T) {
 					mine = append(mine, res.handle)
 				case 2: // direct executor batch
 					err := sess.exec.submit(ctx, func(ctx context.Context) error {
-						bf, err := sess.bdd(f)
+						bf, err := sess.st.Get(f)
 						if err != nil {
 							return err
 						}
-						bg, err := sess.bdd(h)
+						bg, err := sess.st.Get(h)
 						if err != nil {
 							return err
 						}
@@ -87,7 +88,7 @@ func TestExecutorSharedManagerRace(t *testing.T) {
 							return err
 						}
 						for _, b := range out {
-							mine = append(mine, sess.put(b))
+							mine = append(mine, sess.st.Put(b))
 						}
 						return nil
 					})
@@ -97,7 +98,7 @@ func TestExecutorSharedManagerRace(t *testing.T) {
 					}
 				case 3: // queries + occasional GC
 					err := sess.exec.submit(ctx, func(context.Context) error {
-						b, err := sess.bdd(f)
+						b, err := sess.st.Get(f)
 						if err != nil {
 							return err
 						}
@@ -117,12 +118,7 @@ func TestExecutorSharedManagerRace(t *testing.T) {
 						toFree := mine[:2]
 						mine = mine[2:]
 						err := sess.exec.submit(ctx, func(context.Context) error {
-							for _, fh := range toFree {
-								if err := sess.free(fh); err != nil {
-									return err
-								}
-							}
-							return nil
+							return sess.st.Apply(wal.FreeRec{Handles: toFree})
 						})
 						if err != nil {
 							t.Errorf("g%d free: %v", g, err)
@@ -151,11 +147,11 @@ func TestExecutorSharedManagerRace(t *testing.T) {
 	ref := bfbdd.New(vars)
 	defer ref.Close()
 	err = sess.exec.submit(context.Background(), func(context.Context) error {
-		a, err := sess.bdd(seeds[0])
+		a, err := sess.st.Get(seeds[0])
 		if err != nil {
 			return err
 		}
-		b, err := sess.bdd(seeds[1])
+		b, err := sess.st.Get(seeds[1])
 		if err != nil {
 			return err
 		}

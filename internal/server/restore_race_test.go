@@ -44,7 +44,7 @@ func TestRestoreRefusedMidClose(t *testing.T) {
 	}
 	id := sess.id
 	err = sess.exec.submit(context.Background(), func(context.Context) error {
-		sess.put(sess.mgr.Var(0).And(sess.mgr.Var(1)))
+		sess.st.Put(sess.mgr.Var(0).And(sess.mgr.Var(1)))
 		return nil
 	})
 	if err != nil {
@@ -87,8 +87,8 @@ func TestRestoreRefusedMidClose(t *testing.T) {
 	if restored.id != id {
 		t.Fatalf("restored under id %s, want %s", restored.id, id)
 	}
-	if len(restored.handles) != 1 {
-		t.Fatalf("restored %d handles, want 1", len(restored.handles))
+	if len(restored.st.Handles) != 1 {
+		t.Fatalf("restored %d handles, want 1", len(restored.st.Handles))
 	}
 }
 
@@ -112,7 +112,7 @@ func TestRestoreExpiryRaceStress(t *testing.T) {
 		t.Fatalf("create: %v", err)
 	}
 	err = seed.exec.submit(context.Background(), func(context.Context) error {
-		seed.put(seed.mgr.Var(0).Or(seed.mgr.Var(3)))
+		seed.st.Put(seed.mgr.Var(0).Or(seed.mgr.Var(3)))
 		return nil
 	})
 	if err != nil {

@@ -79,9 +79,9 @@ func TestRestoreRejectsMalformedSessionID(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsHugeHandleID: nextHandle starts at the largest
+// TestRestoreRejectsHugeHandleID: NextHandle starts at the largest
 // restored handle id, so a snapshot claiming an id at the uint64 ceiling
-// would make the next put() wrap to a restored handle and silently
+// would make the next Put wrap to a restored handle and silently
 // replace it. Such snapshots are refused outright.
 func TestRestoreRejectsHugeHandleID(t *testing.T) {
 	srv := New(Config{})

@@ -120,9 +120,9 @@ func TestCheckpointCrashConsistency(t *testing.T) {
 		}
 		var n int
 		err = sess2.exec.submit(context.Background(), func(context.Context) error {
-			n = len(sess2.handles)
-			for h := range sess2.handles {
-				if _, err := sess2.bdd(h); err != nil {
+			n = len(sess2.st.Handles)
+			for h := range sess2.st.Handles {
+				if _, err := sess2.st.Get(h); err != nil {
 					return err
 				}
 			}

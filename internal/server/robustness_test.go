@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +15,7 @@ import (
 
 	"bfbdd"
 	"bfbdd/internal/faultinject"
+	"bfbdd/internal/walreplay"
 )
 
 // freeHandles releases wire handles via the free endpoint.
@@ -113,6 +115,37 @@ func TestNoteFailureClassification(t *testing.T) {
 			sess.noteFailure(tc.err)
 			if got := sess.isPoisoned(); got != tc.wantPoison {
 				t.Fatalf("poisoned = %v, want %v", got, tc.wantPoison)
+			}
+		})
+	}
+}
+
+// TestFailStatusMapping pins fail's error-to-status table. Construction
+// routes validate through walreplay before the engine sees an operand, so
+// no known request reaches the executor-panic branches; the table keeps
+// them covered: engine misuse ("bfbdd: " panics) is the client's fault,
+// any other panic a server bug.
+func TestFailStatusMapping(t *testing.T) {
+	cases := []struct {
+		name string
+		err  error
+		code int
+		body string
+	}{
+		{"missing handle", fmt.Errorf("%w: handle 9", walreplay.ErrNoHandle), http.StatusBadRequest, "no such handle"},
+		{"invalid operand", fmt.Errorf("%w: variable 9 out of range [0,4)", walreplay.ErrInvalid), http.StatusBadRequest, "out of range"},
+		{"engine misuse panic", &panicError{val: "bfbdd: variable 9 out of range [0,4)"}, http.StatusBadRequest, "bfbdd: variable 9"},
+		{"other panic", &panicError{val: "runtime error: index out of range"}, http.StatusInternalServerError, "internal error"},
+		{"budget abort panic", &panicError{val: &bfbdd.BudgetError{Kind: "nodes"}}, http.StatusRequestEntityTooLarge, "budget"},
+		{"internal error", &bfbdd.InternalError{Op: "GC", Cause: "bad mark"}, http.StatusInternalServerError, "internal engine fault"},
+		{"injected fault", fmt.Errorf("journal: %w", faultinject.ErrInjected), http.StatusInternalServerError, "journal"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			fail(rec, tc.err)
+			if rec.Code != tc.code || !strings.Contains(rec.Body.String(), tc.body) {
+				t.Fatalf("fail(%v) = %d %s, want %d containing %q", tc.err, rec.Code, rec.Body.String(), tc.code, tc.body)
 			}
 		})
 	}

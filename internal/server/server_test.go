@@ -377,7 +377,7 @@ func TestServerErrors(t *testing.T) {
 		t.Fatalf("malformed JSON: code %d, want 400", resp.StatusCode)
 	}
 
-	// Out-of-range variable index is caught by handler validation.
+	// Out-of-range variable index is refused by the shared record path.
 	mustCall(t, "POST", base+"/v1/sessions/"+sid+"/vars",
 		map[string]any{"index": 99}, http.StatusBadRequest)
 
@@ -386,13 +386,14 @@ func TestServerErrors(t *testing.T) {
 	mustCall(t, "POST", base+"/v1/sessions/"+sid+"/query",
 		map[string]any{"kind": "eval", "f": h, "assignment": []bool{true}}, http.StatusBadRequest)
 
-	// Panic firewall: quantifying over an out-of-range variable reaches the
-	// engine, which panics with a "bfbdd:"-prefixed message; the server must
-	// answer 400 and stay alive.
+	// Quantifying over an out-of-range variable is refused by the shared
+	// record path's range check before the engine sees it: 400, and the
+	// session keeps serving. (The engine-panic firewall behind it is
+	// covered by TestFailStatusMapping.)
 	out := mustCall(t, "POST", base+"/v1/sessions/"+sid+"/quantify",
 		map[string]any{"kind": "exists", "f": h, "vars": []int{99}}, http.StatusBadRequest)
-	if msg, _ := out["error"].(string); !strings.Contains(msg, "bfbdd:") {
-		t.Fatalf("firewall error %q does not carry the engine message", out["error"])
+	if msg, _ := out["error"].(string); !strings.Contains(msg, "out of range") {
+		t.Fatalf("range error %q does not name the problem", out["error"])
 	}
 	// Still alive and serving.
 	mustCall(t, "GET", base+"/healthz", nil, http.StatusOK)

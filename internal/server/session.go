@@ -21,6 +21,7 @@ import (
 	"bfbdd/internal/snapshot"
 	"bfbdd/internal/trace"
 	"bfbdd/internal/wal"
+	"bfbdd/internal/walreplay"
 )
 
 var (
@@ -30,7 +31,7 @@ var (
 	errSessionExists   = errors.New("session already exists")
 	errTooManySessions = errors.New("session limit reached")
 	errServerClosed    = errors.New("server is shutting down")
-	errNoHandle        = errors.New("no such handle")
+	errNoHandle        = walreplay.ErrNoHandle
 	// errSessionPoisoned marks a session whose engine hit an internal
 	// fault: its in-memory state can no longer be trusted, so every
 	// subsequent operation is refused until the client deletes it (or
@@ -231,9 +232,10 @@ type session struct {
 	// lastUsed is the unix-nano time of the last request (idle expiry).
 	lastUsed atomic.Int64
 
-	// handles maps wire handle IDs to live BDDs; executor goroutine only.
-	handles    map[uint64]*bfbdd.BDD
-	nextHandle uint64
+	// st is the wire-handle table over mgr and the one place construction
+	// records become engine calls, live and in replay alike; executor
+	// goroutine only.
+	st *walreplay.State
 
 	snap atomic.Pointer[sessionStats]
 
@@ -322,41 +324,13 @@ func (s *session) refreshStats() {
 	snap := &sessionStats{
 		Stats:   s.mgr.Stats(),
 		Pins:    s.mgr.Kernel().NumPins(),
-		Handles: len(s.handles),
+		Handles: len(s.st.Handles),
 	}
 	s.snap.Store(snap)
 }
 
 // stats returns the latest lock-free snapshot.
 func (s *session) stats() *sessionStats { return s.snap.Load() }
-
-// bdd resolves a wire handle; executor goroutine only.
-func (s *session) bdd(h uint64) (*bfbdd.BDD, error) {
-	b, ok := s.handles[h]
-	if !ok {
-		return nil, fmt.Errorf("%w: handle %d", errNoHandle, h)
-	}
-	return b, nil
-}
-
-// put registers a BDD and returns its wire handle; executor goroutine only.
-func (s *session) put(b *bfbdd.BDD) uint64 {
-	s.nextHandle++
-	s.handles[s.nextHandle] = b
-	return s.nextHandle
-}
-
-// unput rolls back a put whose journal append failed: the handle was
-// never acknowledged, so memory must not get ahead of the log. Executor
-// goroutine only; roll back the most recent put first so handle
-// numbering rewinds exactly.
-func (s *session) unput(h uint64, b *bfbdd.BDD) {
-	delete(s.handles, h)
-	b.Free()
-	if h == s.nextHandle {
-		s.nextHandle--
-	}
-}
 
 // journal appends recs to the session's WAL as one commit group and
 // makes them durable per the configured sync policy before returning.
@@ -399,6 +373,37 @@ func (s *session) journalT(t *trace.Trace, parent trace.SpanID, recs ...wal.Reco
 	return nil
 }
 
+// registerApplies binds every non-nil batch result under the next wire
+// handle, filling in recs[i].Handle, and journals those applies as one
+// commit group: a bare apply record for one operation, a batch record
+// otherwise. If the journal refuses, nothing was acknowledged: every
+// binding is undone, newest first so handle numbering rewinds, and the
+// journal error is returned. Executor goroutine only; t may be nil.
+func (s *session) registerApplies(t *trace.Trace, parent trace.SpanID, recs []wal.ApplyRec, results []*bfbdd.BDD) error {
+	var done []wal.ApplyRec
+	for i, b := range results {
+		if b != nil {
+			recs[i].Handle = s.st.Put(b)
+			done = append(done, recs[i])
+		}
+	}
+	var err error
+	switch len(done) {
+	case 0:
+		return nil
+	case 1:
+		err = s.journalT(t, parent, done[0])
+	default:
+		err = s.journalT(t, parent, wal.BatchRec{Ops: done})
+	}
+	if err != nil {
+		for i := len(done) - 1; i >= 0; i-- {
+			s.st.Undo(done[i].Handle)
+		}
+	}
+	return err
+}
+
 // noteSlowBuild logs the phase breakdown of a build that exceeded the
 // session's slow-build threshold. before must be the Stats snapshot
 // taken just before the build (the caller only takes it when the
@@ -420,32 +425,28 @@ func (s *session) noteSlowBuild(op string, elapsed time.Duration, before bfbdd.S
 		int64(after.NumNodes)-int64(before.NumNodes))
 }
 
-// free releases a wire handle; executor goroutine only.
-func (s *session) free(h uint64) error {
-	b, ok := s.handles[h]
-	if !ok {
-		return fmt.Errorf("%w: handle %d", errNoHandle, h)
-	}
-	delete(s.handles, h)
-	b.Free()
-	return nil
-}
-
 // snapshotTo streams the whole session — every wire handle and the
 // manager's variable order — in the bfbdd snapshot format. Executor
 // goroutine only. Handles are written in ascending order so identical
 // session states serialize byte-identically.
 func (s *session) snapshotTo(w io.Writer) error {
-	ids := make([]uint64, 0, len(s.handles))
-	for h := range s.handles {
+	ids := s.handleIDs()
+	roots := make([]bfbdd.SnapshotRoot, len(ids))
+	for i, h := range ids {
+		roots[i] = bfbdd.SnapshotRoot{ID: h, B: s.st.Handles[h]}
+	}
+	return s.mgr.SnapshotRoots(w, roots)
+}
+
+// handleIDs lists the live wire handles in ascending order; executor
+// goroutine only.
+func (s *session) handleIDs() []uint64 {
+	ids := make([]uint64, 0, len(s.st.Handles))
+	for h := range s.st.Handles {
 		ids = append(ids, h)
 	}
 	slices.Sort(ids)
-	roots := make([]bfbdd.SnapshotRoot, len(ids))
-	for i, h := range ids {
-		roots[i] = bfbdd.SnapshotRoot{ID: h, B: s.handles[h]}
-	}
-	return s.mgr.SnapshotRoots(w, roots)
+	return ids
 }
 
 // close drains the executor and releases the manager: every pin the
@@ -457,7 +458,7 @@ func (s *session) close() {
 		s.exec.close()
 		// The executor goroutine has exited; the handle table and manager
 		// are now exclusively ours.
-		s.handles = nil
+		s.st.Handles = nil
 		s.mgr.Close()
 		if s.wal != nil {
 			if err := s.wal.Close(); err != nil {
@@ -534,25 +535,36 @@ func (r *registry) createAt(id string, o SessionOptions, openWAL bool) (*session
 	if err != nil {
 		return nil, err
 	}
-	opts = r.spillOpts(opts, id)
+	var attach func(*session) error
+	if openWAL {
+		attach = r.walCreate
+	}
+	st := walreplay.NewState(bfbdd.New(o.Vars, r.spillOpts(opts, id)...))
+	return r.open(id, engine, o, st, attach)
+}
 
+// open builds the session around st in the slot reserved for id, runs
+// attach (when non-nil) on the finished session, and commits it to the
+// registry. A failed attach tears the session down and frees the slot.
+func (r *registry) open(id string, engine bfbdd.Engine, o SessionOptions, st *walreplay.State, attach func(*session) error) (*session, error) {
+	o.Vars = st.Mgr.NumVars()
 	s := &session{
 		id:            id,
 		engine:        engine,
 		vars:          o.Vars,
 		opts:          o,
 		created:       time.Now(),
-		mgr:           bfbdd.New(o.Vars, opts...),
+		mgr:           st.Mgr,
+		st:            st,
 		m:             r.m,
-		handles:       make(map[uint64]*bfbdd.BDD),
 		slowThreshold: r.cfg.SlowBuildThreshold,
 	}
 	s.exec = newExecutor(r.cfg.MaxQueuedPerSession, s.refreshStats)
 	s.coal = newCoalescer(s, r.cfg, r.m)
 	s.touch()
 	s.refreshStats()
-	if openWAL && r.walCreate != nil {
-		if err := r.walCreate(s); err != nil {
+	if attach != nil {
+		if err := attach(s); err != nil {
 			s.close()
 			r.release(id)
 			return nil, fmt.Errorf("session wal: %w", err)
@@ -667,27 +679,15 @@ func (r *registry) restore(id string, o SessionOptions, src io.Reader, attach fu
 		r.release(id)
 		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
-
-	o.Vars = mgr.NumVars()
-	s := &session{
-		id:            id,
-		engine:        engine,
-		vars:          mgr.NumVars(),
-		opts:          o,
-		created:       time.Now(),
-		mgr:           mgr,
-		m:             r.m,
-		handles:       make(map[uint64]*bfbdd.BDD, len(roots)),
-		slowThreshold: r.cfg.SlowBuildThreshold,
-	}
+	st := walreplay.NewState(mgr)
 	for _, rt := range roots {
-		if _, dup := s.handles[rt.ID]; dup {
+		if _, dup := st.Handles[rt.ID]; dup {
 			mgr.Close()
 			r.release(id)
 			return nil, fmt.Errorf("%w: duplicate handle %d in snapshot", errBadRequest, rt.ID)
 		}
-		// nextHandle starts at the largest restored id; an id near the
-		// uint64 ceiling would make the next put() wrap to a restored
+		// NextHandle starts at the largest restored id; an id near the
+		// uint64 ceiling would make the next Put wrap to a restored
 		// handle and silently replace it. No legitimate snapshot gets
 		// anywhere close — handles are allocated sequentially from 1.
 		if rt.ID >= 1<<62 {
@@ -695,24 +695,10 @@ func (r *registry) restore(id string, o SessionOptions, src io.Reader, attach fu
 			r.release(id)
 			return nil, fmt.Errorf("%w: handle %d out of range in snapshot", errBadRequest, rt.ID)
 		}
-		s.handles[rt.ID] = rt.B
-		s.nextHandle = max(s.nextHandle, rt.ID)
+		st.Handles[rt.ID] = rt.B
+		st.NextHandle = max(st.NextHandle, rt.ID)
 	}
-	s.exec = newExecutor(r.cfg.MaxQueuedPerSession, s.refreshStats)
-	s.coal = newCoalescer(s, r.cfg, r.m)
-	s.touch()
-	s.refreshStats()
-	if attach != nil {
-		if err := attach(s); err != nil {
-			s.close()
-			r.release(id)
-			return nil, fmt.Errorf("session wal: %w", err)
-		}
-	}
-	if err := r.commit(s); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return r.open(id, engine, o, st, attach)
 }
 
 func (r *registry) get(id string) (*session, error) {

@@ -11,48 +11,70 @@ import (
 )
 
 // TestWALAppendFailureRefusesOperation is the write-ahead contract under
-// a failing disk: an operation whose journal append fails must be
-// refused (500) with its handle rolled back — never acknowledged-but-
-// unjournaled — and the session must keep serving once the disk heals.
-// Recovery then reproduces exactly the acknowledged operations.
+// a failing disk, for every construction route that shares the
+// record-then-journal path: an operation whose journal append fails must
+// be refused (500) with its handle rolled back — never acknowledged-but-
+// unjournaled — and the session must keep serving once the disk heals,
+// handing the refused number to the next operation. Recovery then
+// reproduces exactly the acknowledged operations.
 func TestWALAppendFailureRefusesOperation(t *testing.T) {
-	faultinject.Reset()
-	defer faultinject.Reset()
+	routes := []struct {
+		route string
+		body  func(v0, v1 uint64) map[string]any
+	}{
+		{"vars", func(v0, v1 uint64) map[string]any { return map[string]any{"index": 2, "negated": true} }},
+		{"const", func(v0, v1 uint64) map[string]any { return map[string]any{"value": true} }},
+		{"ite", func(v0, v1 uint64) map[string]any { return map[string]any{"f": v0, "g": v1, "h": v0} }},
+		{"not", func(v0, v1 uint64) map[string]any { return map[string]any{"f": v0} }},
+		{"quantify", func(v0, v1 uint64) map[string]any {
+			return map[string]any{"kind": "forall", "f": v0, "vars": []int{1}}
+		}},
+		{"restrict", func(v0, v1 uint64) map[string]any { return map[string]any{"f": v0, "var": 0, "value": true} }},
+		{"compose", func(v0, v1 uint64) map[string]any { return map[string]any{"f": v0, "var": 0, "g": v1} }},
+	}
+	for _, rt := range routes {
+		t.Run(rt.route, func(t *testing.T) {
+			faultinject.Reset()
+			defer faultinject.Reset()
 
-	dir := t.TempDir()
-	cfg := walConfig(dir)
-	srv, ts := testServer(t, cfg)
-	sid := createSession(t, ts.URL, SessionOptions{Vars: 8})
-	v0 := mkVar(t, ts.URL, sid, 0, false)
+			dir := t.TempDir()
+			cfg := walConfig(dir)
+			srv, ts := testServer(t, cfg)
+			sid := createSession(t, ts.URL, SessionOptions{Vars: 8})
+			v0 := mkVar(t, ts.URL, sid, 0, false)
+			v1 := mkVar(t, ts.URL, sid, 1, false)
+			url := ts.URL + "/v1/sessions/" + sid + "/" + rt.route
+			body := rt.body(v0, v1)
 
-	// Reset zeroes the per-point call counters (session creation and the
-	// first var already visited WALAppend), so FailFirst(1) hits exactly
-	// the next append.
-	faultinject.Reset()
-	faultinject.Arm(faultinject.WALAppend, faultinject.FailFirst(1))
-	code, out := call(t, "POST", ts.URL+"/v1/sessions/"+sid+"/vars", map[string]any{"index": 1})
-	faultinject.Reset()
-	if code != http.StatusInternalServerError {
-		t.Fatalf("journal-failed op answered %d (%v), want 500", code, out)
-	}
-	if got := srv.metrics.wal.AppendErrors.Load(); got != 1 {
-		t.Fatalf("AppendErrors = %d, want 1", got)
-	}
+			// Reset zeroes the per-point call counters (session creation and
+			// the vars already visited WALAppend), so FailFirst(1) hits
+			// exactly the next append.
+			faultinject.Reset()
+			faultinject.Arm(faultinject.WALAppend, faultinject.FailFirst(1))
+			code, out := call(t, "POST", url, body)
+			faultinject.Reset()
+			if code != http.StatusInternalServerError {
+				t.Fatalf("journal-failed op answered %d (%v), want 500", code, out)
+			}
+			if got := srv.metrics.wal.AppendErrors.Load(); got != 1 {
+				t.Fatalf("AppendErrors = %d, want 1", got)
+			}
 
-	// The refused operation's handle was rolled back: the next op gets
-	// the number the failed one would have had, and the session is not
-	// poisoned.
-	v1 := mkVar(t, ts.URL, sid, 1, false)
-	if v1 != v0+1 {
-		t.Fatalf("handle after rollback = %d, want %d", v1, v0+1)
+			// The refused operation's handle was rolled back: the retry gets
+			// the number the failed one would have had, and the session is
+			// not poisoned.
+			h := handleOf(t, mustCall(t, "POST", url, body, http.StatusOK))
+			if h != v1+1 {
+				t.Fatalf("handle after rollback = %d, want %d", h, v1+1)
+			}
+			ledger := map[uint64]string{
+				v0: sigOf(t, ts.URL, sid, v0),
+				v1: sigOf(t, ts.URL, sid, v1),
+				h:  sigOf(t, ts.URL, sid, h),
+			}
+			assertRecovered(t, cfg, dir, sid, ledger)
+		})
 	}
-	a := apply(t, ts.URL, sid, "and", v0, v1)
-	ledger := map[uint64]string{
-		v0: sigOf(t, ts.URL, sid, v0),
-		v1: sigOf(t, ts.URL, sid, v1),
-		a:  sigOf(t, ts.URL, sid, a),
-	}
-	assertRecovered(t, cfg, dir, sid, ledger)
 }
 
 // TestWALRotateCrashWindow kills the checkpoint's log rotation: the

@@ -124,7 +124,8 @@ const (
 	KindCompose  Kind = 10 // substitution
 	KindFree     Kind = 11 // handle release
 	KindGC       Kind = 12 // explicit collection
-	KindSetOrder Kind = 13 // variable order change
+	// 13 is reserved: a variable-order record no producer ever wrote.
+	// It decodes as an unknown kind (ErrCorrupt).
 	KindSnapshot Kind = 14 // wire snapshot exported (audit; no state)
 	KindPublish  Kind = 15 // compiled artifact published (audit; no state)
 	KindClose    Kind = 16 // session closed; recovery must not resurrect
@@ -133,7 +134,7 @@ const (
 
 var kindNames = [numKinds]string{
 	"invalid", "create", "var", "const", "apply", "batch", "ite", "not",
-	"quantify", "restrict", "compose", "free", "gc", "setorder",
+	"quantify", "restrict", "compose", "free", "gc", "reserved",
 	"snapshot", "publish", "close",
 }
 
@@ -233,9 +234,6 @@ type FreeRec struct{ Handles []uint64 }
 // GCRec journals an explicit collection.
 type GCRec struct{}
 
-// SetOrderRec journals a variable-order change (Levels[v] = level of v).
-type SetOrderRec struct{ Levels []int }
-
 // SnapshotRec journals a wire snapshot export (audit only; replay skips).
 type SnapshotRec struct{}
 
@@ -264,7 +262,6 @@ func (RestrictRec) Kind() Kind { return KindRestrict }
 func (ComposeRec) Kind() Kind  { return KindCompose }
 func (FreeRec) Kind() Kind     { return KindFree }
 func (GCRec) Kind() Kind       { return KindGC }
-func (SetOrderRec) Kind() Kind { return KindSetOrder }
 func (SnapshotRec) Kind() Kind { return KindSnapshot }
 func (PublishRec) Kind() Kind  { return KindPublish }
 func (CloseRec) Kind() Kind    { return KindClose }
@@ -354,14 +351,6 @@ func (r FreeRec) encodeBody(b []byte) []byte {
 }
 
 func (GCRec) encodeBody(b []byte) []byte { return b }
-
-func (r SetOrderRec) encodeBody(b []byte) []byte {
-	b = appendUvarint(b, uint64(len(r.Levels)))
-	for _, l := range r.Levels {
-		b = appendUvarint(b, uint64(l))
-	}
-	return b
-}
 
 func (SnapshotRec) encodeBody(b []byte) []byte { return b }
 
@@ -644,19 +633,6 @@ func decodeBody(kind Kind, p *payloadReader) (Record, error) {
 		return r, nil
 	case KindGC:
 		return GCRec{}, nil
-	case KindSetOrder:
-		n, err := p.count(MaxRecordLen)
-		if err != nil {
-			return nil, err
-		}
-		r := SetOrderRec{Levels: make([]int, n)}
-		var err2 error
-		for i := range r.Levels {
-			if r.Levels[i], err2 = p.intVal(); err2 != nil {
-				return nil, err2
-			}
-		}
-		return r, nil
 	case KindSnapshot:
 		return SnapshotRec{}, nil
 	case KindPublish:

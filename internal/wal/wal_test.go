@@ -25,7 +25,6 @@ func allKinds() []Record {
 		ComposeRec{F: 15, G: 7, Var: 4, Handle: 16},
 		FreeRec{Handles: []uint64{7, 8, 16}},
 		GCRec{},
-		SetOrderRec{Levels: []int{1, 0, 3, 2}},
 		SnapshotRec{},
 		PublishRec{Name: "f-abc", Handles: []uint64{13, 14}},
 		CloseRec{},
@@ -52,9 +51,11 @@ func TestRecordRoundtrip(t *testing.T) {
 func TestDecodeRejectsHostileRecords(t *testing.T) {
 	good := EncodeRecord(1, VarRec{Index: 1, Handle: 2})
 	cases := map[string][]byte{
-		"empty":          nil,
-		"seq only":       good[:1],
-		"unknown kind":   append(appendUvarint(nil, 1), 200),
+		"empty":        nil,
+		"seq only":     good[:1],
+		"unknown kind": append(appendUvarint(nil, 1), 200),
+		// Kind 13 is reserved (a never-written variable-order record).
+		"reserved kind":  append(appendUvarint(nil, 1), 13, 1, 0),
 		"trailing bytes": append(append([]byte(nil), good...), 0xFF),
 		"bad bool":       EncodeRecord(1, ConstRec{})[:2+1], // truncated before handle
 		"op range":       append(appendUvarint(nil, 1), byte(KindApply), 99, 0, 0, 0),

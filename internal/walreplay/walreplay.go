@@ -1,22 +1,35 @@
 // Package walreplay applies write-ahead-log records to a live manager
-// and wire-handle table. It is the single deterministic-replay engine
-// shared by server startup recovery and the bfbdd-wal CLI: every record
+// and wire-handle table. It is the single place a construction record
+// becomes engine calls: the server's live construction routes build a
+// record under the next wire handle and execute it here before
+// journaling it, and startup recovery, followers and the bfbdd-wal CLI
+// replay the journaled records through the same Apply. Every record
 // carries the wire handle its result was acknowledged under, so replay
 // rebuilds the exact handle numbering regardless of how the original
 // operations were coalesced or batched.
 package walreplay
 
 import (
+	"errors"
 	"fmt"
 
 	"bfbdd"
 	"bfbdd/internal/wal"
 )
 
-// State is the session state a replay mutates. Handles and NextHandle
-// mirror the server session's wire-handle table; Closed latches when a
-// close record is replayed (the caller must then discard the session
-// instead of resurrecting it).
+var (
+	// ErrNoHandle means a record names a wire handle that is not bound.
+	ErrNoHandle = errors.New("no such handle")
+	// ErrInvalid means a record's operands are out of range for the
+	// manager (variable index, apply op code).
+	ErrInvalid = errors.New("invalid operand")
+)
+
+// State is a session's wire-handle table over its manager. Handles maps
+// wire handles to live BDDs and NextHandle is the highest handle issued;
+// Closed latches when a close record is applied (the caller must then
+// discard the session instead of resurrecting it). A State is not safe
+// for concurrent use: the server touches it only on the session executor.
 type State struct {
 	Mgr        *bfbdd.Manager
 	Handles    map[uint64]*bfbdd.BDD
@@ -24,17 +37,39 @@ type State struct {
 	Closed     bool
 }
 
-// NewState wraps a fresh manager.
+// NewState wraps a manager with an empty handle table.
 func NewState(m *bfbdd.Manager) *State {
 	return &State{Mgr: m, Handles: make(map[uint64]*bfbdd.BDD)}
 }
 
-func (st *State) get(h uint64) (*bfbdd.BDD, error) {
+// Get resolves wire handle h.
+func (st *State) Get(h uint64) (*bfbdd.BDD, error) {
 	b, ok := st.Handles[h]
 	if !ok {
-		return nil, fmt.Errorf("walreplay: no handle %d", h)
+		return nil, fmt.Errorf("%w: handle %d", ErrNoHandle, h)
 	}
 	return b, nil
+}
+
+// Put binds b under the next wire handle and returns that handle.
+func (st *State) Put(b *bfbdd.BDD) uint64 {
+	st.NextHandle++
+	st.Handles[st.NextHandle] = b
+	return st.NextHandle
+}
+
+// Undo rolls back the binding of h made by a Put or Apply whose record
+// the journal refused: the handle was never acknowledged, so memory must
+// not get ahead of the log. Undo the newest binding first so handle
+// numbering rewinds exactly.
+func (st *State) Undo(h uint64) {
+	if b, ok := st.Handles[h]; ok {
+		delete(st.Handles, h)
+		b.Free()
+	}
+	if h == st.NextHandle {
+		st.NextHandle--
+	}
 }
 
 // set installs b under wire handle h. An existing binding is released
@@ -51,18 +86,21 @@ func (st *State) set(h uint64, b *bfbdd.BDD) {
 	}
 }
 
-// batchKind validates a journaled op code against the engine alphabet.
-func batchKind(op uint8) (bfbdd.BatchOpKind, error) {
-	if op >= wal.NumOps {
-		return 0, fmt.Errorf("walreplay: op code %d out of range", op)
+// checkVar validates a variable index against the manager.
+func (st *State) checkVar(what string, v int) error {
+	if v < 0 || v >= st.Mgr.NumVars() {
+		return fmt.Errorf("%w: %s %d out of range [0,%d)", ErrInvalid, what, v, st.Mgr.NumVars())
 	}
-	return bfbdd.BatchOpKind(op), nil
+	return nil
 }
 
-// Apply replays one record. Records that carry no session state (create,
-// snapshot, publish) are skipped; a close record latches Closed. Errors
-// mean the log does not describe a valid history for this state — the
-// caller should refuse the recovery rather than serve a diverged session.
+// Apply executes one record. Records that carry no session state
+// (create, snapshot, publish) are skipped; a close record latches
+// Closed. A returned error leaves the state unchanged except for a free
+// record, which releases the handles before the first unknown one; in
+// replay an error means the log does not describe a valid history for
+// this state, and the caller should refuse the recovery rather than
+// serve a diverged session.
 func (st *State) Apply(rec wal.Record) error {
 	switch r := rec.(type) {
 	case wal.CreateRec:
@@ -71,8 +109,8 @@ func (st *State) Apply(rec wal.Record) error {
 		// already exists.
 		return nil
 	case wal.VarRec:
-		if r.Index < 0 || r.Index >= st.Mgr.NumVars() {
-			return fmt.Errorf("walreplay: variable %d out of range [0,%d)", r.Index, st.Mgr.NumVars())
+		if err := st.checkVar("variable", r.Index); err != nil {
+			return err
 		}
 		if r.Negated {
 			st.set(r.Handle, st.Mgr.NVar(r.Index))
@@ -92,35 +130,35 @@ func (st *State) Apply(rec wal.Record) error {
 	case wal.BatchRec:
 		return st.applyOps(r.Ops)
 	case wal.ITERec:
-		f, err := st.get(r.F)
+		f, err := st.Get(r.F)
 		if err != nil {
 			return err
 		}
-		g, err := st.get(r.G)
+		g, err := st.Get(r.G)
 		if err != nil {
 			return err
 		}
-		h, err := st.get(r.H)
+		h, err := st.Get(r.H)
 		if err != nil {
 			return err
 		}
 		st.set(r.Handle, f.ITE(g, h))
 		return nil
 	case wal.NotRec:
-		f, err := st.get(r.F)
+		f, err := st.Get(r.F)
 		if err != nil {
 			return err
 		}
 		st.set(r.Handle, f.Not())
 		return nil
 	case wal.QuantifyRec:
-		f, err := st.get(r.F)
+		f, err := st.Get(r.F)
 		if err != nil {
 			return err
 		}
 		for _, v := range r.Vars {
-			if v < 0 || v >= st.Mgr.NumVars() {
-				return fmt.Errorf("walreplay: quantified variable %d out of range", v)
+			if err := st.checkVar("quantified variable", v); err != nil {
+				return err
 			}
 		}
 		if r.Forall {
@@ -130,32 +168,32 @@ func (st *State) Apply(rec wal.Record) error {
 		}
 		return nil
 	case wal.RestrictRec:
-		f, err := st.get(r.F)
+		f, err := st.Get(r.F)
 		if err != nil {
 			return err
 		}
-		if r.Var < 0 || r.Var >= st.Mgr.NumVars() {
-			return fmt.Errorf("walreplay: restricted variable %d out of range", r.Var)
+		if err := st.checkVar("restricted variable", r.Var); err != nil {
+			return err
 		}
 		st.set(r.Handle, f.Restrict(r.Var, r.Value))
 		return nil
 	case wal.ComposeRec:
-		f, err := st.get(r.F)
+		f, err := st.Get(r.F)
 		if err != nil {
 			return err
 		}
-		g, err := st.get(r.G)
+		g, err := st.Get(r.G)
 		if err != nil {
 			return err
 		}
-		if r.Var < 0 || r.Var >= st.Mgr.NumVars() {
-			return fmt.Errorf("walreplay: composed variable %d out of range", r.Var)
+		if err := st.checkVar("composed variable", r.Var); err != nil {
+			return err
 		}
 		st.set(r.Handle, f.Compose(r.Var, g))
 		return nil
 	case wal.FreeRec:
 		for _, h := range r.Handles {
-			b, err := st.get(h)
+			b, err := st.Get(h)
 			if err != nil {
 				return err
 			}
@@ -165,12 +203,6 @@ func (st *State) Apply(rec wal.Record) error {
 		return nil
 	case wal.GCRec:
 		st.Mgr.GC()
-		return nil
-	case wal.SetOrderRec:
-		if len(r.Levels) != st.Mgr.NumVars() {
-			return fmt.Errorf("walreplay: order has %d levels for %d vars", len(r.Levels), st.Mgr.NumVars())
-		}
-		st.Mgr.SetOrder(r.Levels)
 		return nil
 	case wal.SnapshotRec, wal.PublishRec:
 		return nil // audit records; no session state
@@ -186,19 +218,18 @@ func (st *State) Apply(rec wal.Record) error {
 func (st *State) applyOps(recs []wal.ApplyRec) error {
 	ops := make([]bfbdd.BatchOp, len(recs))
 	for i, r := range recs {
-		kind, err := batchKind(r.Op)
+		if r.Op >= wal.NumOps {
+			return fmt.Errorf("%w: op code %d out of range", ErrInvalid, r.Op)
+		}
+		f, err := st.Get(r.F)
 		if err != nil {
 			return err
 		}
-		f, err := st.get(r.F)
+		g, err := st.Get(r.G)
 		if err != nil {
 			return err
 		}
-		g, err := st.get(r.G)
-		if err != nil {
-			return err
-		}
-		ops[i] = bfbdd.BatchOp{Kind: kind, F: f, G: g}
+		ops[i] = bfbdd.BatchOp{Kind: bfbdd.BatchOpKind(r.Op), F: f, G: g}
 	}
 	results := st.Mgr.ApplyBatch(ops)
 	for i, b := range results {

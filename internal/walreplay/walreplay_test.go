@@ -1,8 +1,8 @@
 package walreplay
 
 import (
+	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"bfbdd"
@@ -34,7 +34,6 @@ func history() []wal.Record {
 		wal.ConstRec{Value: true, Handle: 14},
 		wal.FreeRec{Handles: []uint64{6, 7}},
 		wal.GCRec{},
-		wal.SetOrderRec{Levels: []int{3, 2, 1, 0}},
 		wal.SnapshotRec{},
 		wal.PublishRec{Name: "f-x", Handles: []uint64{5}},
 	}
@@ -158,31 +157,32 @@ func TestHandleOverwriteFreesOld(t *testing.T) {
 }
 
 // TestReplayRejectsInvalidHistories: records a valid server never writes
-// must fail replay with a descriptive error instead of panicking or
-// silently diverging.
+// must fail with a typed error instead of panicking or silently
+// diverging — the live routes map ErrNoHandle and ErrInvalid to 400.
 func TestReplayRejectsInvalidHistories(t *testing.T) {
 	cases := []struct {
 		name string
 		recs []wal.Record
-		want string
+		want error
 	}{
 		{"unknown operand", []wal.Record{
-			wal.ApplyRec{Op: 0, F: 99, G: 99, Handle: 1}}, "no handle"},
+			wal.ApplyRec{Op: 0, F: 99, G: 99, Handle: 1}}, ErrNoHandle},
 		{"op out of range", []wal.Record{
 			wal.VarRec{Index: 0, Handle: 1},
-			wal.ApplyRec{Op: wal.NumOps, F: 1, G: 1, Handle: 2}}, "out of range"},
+			wal.ApplyRec{Op: wal.NumOps, F: 1, G: 1, Handle: 2}}, ErrInvalid},
 		{"var out of range", []wal.Record{
-			wal.VarRec{Index: 7, Handle: 1}}, "out of range"},
+			wal.VarRec{Index: 7, Handle: 1}}, ErrInvalid},
 		{"quantify var out of range", []wal.Record{
 			wal.VarRec{Index: 0, Handle: 1},
-			wal.QuantifyRec{F: 1, Vars: []int{9}, Handle: 2}}, "out of range"},
+			wal.QuantifyRec{F: 1, Vars: []int{9}, Handle: 2}}, ErrInvalid},
 		{"restrict var out of range", []wal.Record{
 			wal.VarRec{Index: 0, Handle: 1},
-			wal.RestrictRec{F: 1, Var: -1, Handle: 2}}, "out of range"},
+			wal.RestrictRec{F: 1, Var: -1, Handle: 2}}, ErrInvalid},
+		{"compose var out of range", []wal.Record{
+			wal.VarRec{Index: 0, Handle: 1},
+			wal.ComposeRec{F: 1, G: 1, Var: 2, Handle: 2}}, ErrInvalid},
 		{"free unknown handle", []wal.Record{
-			wal.FreeRec{Handles: []uint64{5}}}, "no handle"},
-		{"order wrong arity", []wal.Record{
-			wal.SetOrderRec{Levels: []int{0}}}, "levels"},
+			wal.FreeRec{Handles: []uint64{5}}}, ErrNoHandle},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -194,9 +194,28 @@ func TestReplayRejectsInvalidHistories(t *testing.T) {
 					break
 				}
 			}
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want substring %q", err, tc.want)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestPutUndoRewinds: the live path's rollback of a refused operation
+// frees the binding and hands its number to the next operation.
+func TestPutUndoRewinds(t *testing.T) {
+	st := NewState(bfbdd.New(2))
+	defer st.Mgr.Close()
+	h1 := st.Put(st.Mgr.Var(0))
+	if err := st.Apply(wal.NotRec{F: h1, Handle: st.NextHandle + 1}); err != nil {
+		t.Fatal(err)
+	}
+	h2 := st.NextHandle
+	st.Undo(h2)
+	if _, err := st.Get(h2); !errors.Is(err, ErrNoHandle) {
+		t.Fatalf("undone handle still bound: %v", err)
+	}
+	if h := st.Put(st.Mgr.Var(1)); h != h2 {
+		t.Fatalf("handle after undo = %d, want %d", h, h2)
 	}
 }
