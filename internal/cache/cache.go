@@ -16,6 +16,14 @@
 //   - entries holding an operator-node handle die when the op generation
 //     advances (operator arenas are recycled once a top-level operation
 //     completes).
+//
+// Each segment starts at 2^8 entries and doubles, up to the cache's max
+// bits, once its live conflicts outnumber its slots. A live conflict is an
+// insert that evicts a current-generation entry holding a different key.
+// Filling an empty or stale slot, or rewriting the same key, is not one:
+// otherwise a long build or session, whose op-handle entries all go stale
+// at every top-level boundary, would grow its segments to the cap with
+// the number of inserts it ever made rather than with its working set.
 package cache
 
 import "bfbdd/internal/node"
@@ -51,9 +59,11 @@ const (
 type segment struct {
 	entries []entry
 	mask    uint64
-	// pressure counts inserts since the last resize; when it exceeds the
-	// segment size the segment doubles (up to the cache's max bits). This
-	// keeps small builds small while letting hot variables grow.
+	// pressure counts live conflicts since the last resize: inserts that
+	// evicted a current-generation entry with a different (op, f, g).
+	// When it exceeds the segment size the segment doubles (up to the
+	// cache's max bits), so segments grow with the working set, not with
+	// the number of inserts.
 	pressure uint64
 }
 
@@ -165,9 +175,11 @@ func (c *Cache) Insert(level int, op uint8, f, g node.Ref, val Tagged) {
 	} else if s.pressure > uint64(len(s.entries)) && uint64(len(s.entries)) < 1<<c.maxBits {
 		c.growSegment(s)
 	}
-	s.pressure++
 	c.inserts++
 	e := &s.entries[hash3(op, f, g)&s.mask]
+	if e.f != emptyF && e.gen == c.genFor(e.val) && (e.op != op || e.f != f || e.g != g) {
+		s.pressure++
+	}
 	e.op, e.f, e.g, e.val, e.gen = op, f, g, val, c.genFor(val)
 }
 

@@ -184,3 +184,111 @@ func TestStaleSlotReusable(t *testing.T) {
 		t.Fatalf("reinsert into stale slot failed: %v,%v", v, ok)
 	}
 }
+
+// distinctSlots returns n keys (as f operands, op 1, g One) that land in n
+// different slots of a segment of 2^bits entries, skipping the first skip
+// indices. Keys that share a slot evict each other while both are live,
+// which is a genuine conflict and rightly counts as pressure; the tests
+// that pin "no pressure" need a working set free of such conflicts.
+func distinctSlots(n int, bits uint, skip uint64) []node.Ref {
+	used := make(map[uint64]bool)
+	keys := make([]node.Ref, 0, n)
+	for i := skip; len(keys) < n; i++ {
+		k := mkRef(1, i)
+		slot := hash3(1, k, node.One) & (1<<bits - 1)
+		if used[slot] {
+			continue
+		}
+		used[slot] = true
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// TestRefillAfterInvalidateDoesNotGrow: a working set smaller than one
+// segment, rebuilt after every top-level boundary (InvalidateOps), must
+// not ratchet the segment up however many inserts it makes in all. This
+// is the pattern of a long gate-by-gate build or a long-lived session.
+func TestRefillAfterInvalidateDoesNotGrow(t *testing.T) {
+	c := New(1, 16)
+	keys := distinctSlots(200, initialBits, 0)
+	const total = 1_000_000
+	for n := 0; n < total; {
+		for i, k := range keys {
+			c.Insert(0, 1, k, node.One, Tagged(1<<63|uint64(i)))
+			n++
+		}
+		c.InvalidateOps()
+	}
+	if got, want := c.Bytes(), uint64(1<<initialBits)*32; got != want {
+		t.Fatalf("segment grew to %d bytes after %d refills of a %d-key working set, want %d",
+			got, total/len(keys), len(keys), want)
+	}
+}
+
+// TestWorkingSetLargerThanSegmentGrows: live entries that keep evicting
+// each other within one generation still grow the segment, up to maxBits.
+func TestWorkingSetLargerThanSegmentGrows(t *testing.T) {
+	const maxBits = initialBits + 3
+	c := New(1, maxBits)
+	n := uint64(4 << initialBits)
+	for round := 0; round < 4; round++ {
+		for i := uint64(0); i < n; i++ {
+			c.Insert(0, 1, mkRef(1, i), node.One, Tagged(1<<63|i))
+		}
+	}
+	if got, want := c.Bytes(), uint64(1<<maxBits)*32; got != want {
+		t.Fatalf("segment is %d bytes after a working set 4x its size, want the %d-byte cap", got, want)
+	}
+}
+
+// TestStaleAndEmptyEvictionsAddNoPressure pins the growth rule: only an
+// insert that evicts a current-generation entry with a different key
+// counts as pressure.
+func TestStaleAndEmptyEvictionsAddNoPressure(t *testing.T) {
+	c := New(1, 16)
+	s := &c.segs[0]
+	a := distinctSlots(1<<initialBits, initialBits, 0)
+	// b[i] lands in a[i]'s slot but is a different key.
+	b := make([]node.Ref, len(a))
+	for i, k := range a {
+		slot := hash3(1, k, node.One) & (1<<initialBits - 1)
+		for j := uint64(1 << 20); ; j++ {
+			if r := mkRef(1, j); r != k && hash3(1, r, node.One)&(1<<initialBits-1) == slot {
+				b[i] = r
+				break
+			}
+		}
+	}
+	fill := func(keys []node.Ref, op bool) {
+		for i, k := range keys {
+			v := FromRef(mkRef(0, uint64(i)))
+			if op {
+				v = Tagged(1<<63 | uint64(i))
+			}
+			c.Insert(0, 1, k, node.One, v)
+		}
+	}
+	check := func(what string, want uint64) {
+		t.Helper()
+		if s.pressure != want {
+			t.Fatalf("%s: pressure %d, want %d", what, s.pressure, want)
+		}
+	}
+
+	fill(a, true)
+	check("inserts into empty slots", 0)
+	fill(a, true)
+	check("re-inserts of the same keys", 0)
+	c.InvalidateOps()
+	fill(b, false)
+	check("evictions of stale op-handle entries", 0)
+	c.InvalidateBDD()
+	fill(a, true)
+	check("evictions of stale BDD entries", 0)
+	fill(b, false)
+	check("evictions of live entries", uint64(len(a)))
+	if got, want := c.Bytes(), uint64(1<<initialBits)*32; got != want {
+		t.Fatalf("segment is %d bytes, want %d", got, want)
+	}
+}
