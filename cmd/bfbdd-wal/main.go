@@ -27,18 +27,14 @@
 package main
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"bfbdd"
 	"bfbdd/internal/core"
-	"bfbdd/internal/node"
 	"bfbdd/internal/oracle"
 	"bfbdd/internal/wal"
 	"bfbdd/internal/walreplay"
@@ -82,22 +78,17 @@ func usage() {
 `)
 }
 
-// walDir resolves the segment directory: the given path if it holds
-// segments (or is named wal), otherwise its wal/ child — so both the
-// server's -checkpoint-dir and the wal/ subtree itself are accepted.
-func walDir(dir string) (string, error) {
-	ids, err := wal.SessionIDs(dir)
-	if err == nil && len(ids) > 0 {
-		return dir, nil
+// walDir resolves the segment directory: its wal/ child when the given
+// path holds no segments but has one, otherwise the path itself — so
+// both the server's -checkpoint-dir and the wal/ subtree are accepted.
+func walDir(dir string) string {
+	if ids, err := wal.SessionIDs(dir); err == nil && len(ids) > 0 {
+		return dir
 	}
-	sub := wal.Dir(dir)
-	if st, err := os.Stat(sub); err == nil && st.IsDir() {
-		return sub, nil
+	if st, err := os.Stat(wal.Dir(dir)); err == nil && st.IsDir() {
+		return wal.Dir(dir)
 	}
-	if filepath.Base(dir) == "wal" {
-		return dir, nil
-	}
-	return dir, nil
+	return dir
 }
 
 // dirAndIDs resolves the directory and the session set to operate on.
@@ -105,10 +96,7 @@ func dirAndIDs(args []string, cmd string) (string, []string, error) {
 	if len(args) < 1 || len(args) > 2 {
 		return "", nil, fmt.Errorf("%s takes a directory and an optional session id", cmd)
 	}
-	dir, err := walDir(args[0])
-	if err != nil {
-		return "", nil, err
-	}
+	dir := walDir(args[0])
 	if len(args) == 2 {
 		return dir, []string{args[1]}, nil
 	}
@@ -259,29 +247,11 @@ func createOptions(dir, id string) (vars int, err error) {
 	return vars, nil
 }
 
-// signature is the server's "signature" query: the kernel's canonical
-// signature hashed to one hex word. Matching the wire format lets the
-// crash-recovery harness compare a live server's answers against an
-// offline replay.
-func signature(m *bfbdd.Manager, b *bfbdd.BDD) string {
-	sig := m.Kernel().CanonicalSignature([]node.Ref{b.Ref()})
-	h := fnv.New64a()
-	var word [8]byte
-	for _, v := range sig {
-		binary.LittleEndian.PutUint64(word[:], v)
-		_, _ = h.Write(word[:])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 func runReplay(args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("replay takes a directory and a session id")
 	}
-	dir, err := walDir(args[0])
-	if err != nil {
-		return err
-	}
+	dir := walDir(args[0])
 	id := args[1]
 	vars, err := createOptions(dir, id)
 	if err != nil {
@@ -317,7 +287,7 @@ func runReplay(args []string) error {
 	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
 	for _, h := range hs {
 		b := st.Handles[h]
-		fmt.Printf("  handle %-8d size %-10d signature %s\n", h, b.Size(), signature(m, b))
+		fmt.Printf("  handle %-8d size %-10d signature %s\n", h, b.Size(), walreplay.Signature(m, b))
 	}
 	return nil
 }
@@ -337,10 +307,7 @@ func runExport(args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("export takes a directory and a session id")
 	}
-	dir, err := walDir(args[0])
-	if err != nil {
-		return err
-	}
+	dir := walDir(args[0])
 	id := args[1]
 	vars, err := createOptions(dir, id)
 	if err != nil {

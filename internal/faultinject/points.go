@@ -19,6 +19,8 @@
 //	CheckpointWrite   server: buffered snapshot write/flush
 //	CheckpointSync    server: fsync of the staged snapshot
 //	CheckpointRename  server: rename-into-place commit step
+//	CheckpointDirSync server: directory fsync after both renames, before
+//	                          superseded snapshots and WAL segments go
 //	WALAppend         wal:    record append (before the frame write)
 //	WALSync           wal:    fsync of the active WAL segment
 //	WALRotate         wal:    opening a fresh segment at a checkpoint
@@ -57,6 +59,7 @@ const (
 	CheckpointWrite
 	CheckpointSync
 	CheckpointRename
+	CheckpointDirSync
 	WALAppend
 	WALSync
 	WALRotate
@@ -77,6 +80,7 @@ var pointNames = [NumPoints]string{
 	"checkpoint-write",
 	"checkpoint-sync",
 	"checkpoint-rename",
+	"checkpoint-dir-sync",
 	"wal-append",
 	"wal-sync",
 	"wal-rotate",

@@ -17,8 +17,11 @@ package replication
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+
+	"bfbdd/internal/durable"
 )
 
 // epochFile is the sidecar in the checkpoint directory that persists
@@ -49,29 +52,15 @@ func LoadEpoch(dir string) (uint64, error) {
 	return st.Epoch, nil
 }
 
-// StoreEpoch durably persists epoch in dir (temp file, fsync, rename),
-// the same commit discipline as checkpoint metadata: a crash leaves
-// either the old epoch or the new one, never a torn file.
+// StoreEpoch durably persists epoch in dir through internal/durable: a
+// crash leaves either the old epoch or the new one, never a torn file.
 func StoreEpoch(dir string, epoch uint64) error {
 	data, err := json.Marshal(epochState{Epoch: epoch})
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, ".epoch-*")
-	if err != nil {
+	return durable.WriteFile(dir, epochFile, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, epochFile))
+	})
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"bfbdd/internal/durable"
 	"bfbdd/internal/faultinject"
 	"bfbdd/internal/retry"
 	"bfbdd/internal/wal"
@@ -28,8 +29,9 @@ import (
 //	wal/<id>.<base>.wal  write-ahead log segments (bfbdd/internal/wal)
 //
 // A session's durable state is snapshot base + WAL tail. Checkpoint
-// writes are crash-safe: each file is produced as a same-directory temp
-// file, fsynced, and moved into place with os.Rename. The snapshot is
+// writes are crash-safe: each file is staged and renamed into place
+// through internal/durable, which fsyncs the file, and the directory is
+// fsynced after both renames, before any deletion. The snapshot is
 // renamed before the meta sidecar, and the snapshot's sequence lives in
 // its name — so the newest <id>.<seq>.snap is authoritative no matter
 // where a crash lands between the two renames. Recovery restores the
@@ -246,29 +248,23 @@ func (c *checkpointer) noteRecovered(id string) {
 // commitMu with a registry liveness re-check, so a session deleted or
 // expired while its snapshot was being written is discarded
 // (errCheckpointSkipped) instead of renamed into place after the onClose
-// hook already removed its files. After a successful commit, snapshots
-// the new one supersedes and WAL segments it fully covers are deleted.
+// hook already removed its files. The directory is fsynced after both
+// renames, and only then are snapshots the new one supersedes and WAL
+// segments it fully covers deleted.
 func (c *checkpointer) checkpointSession(s *session) error {
 	if faultinject.Enabled {
 		if err := faultinject.Check(faultinject.CheckpointCreate); err != nil {
 			return err
 		}
 	}
-	tmp, err := os.CreateTemp(c.dir, "."+s.id+".tmp-*")
+	snap, err := durable.Create(c.dir, "."+s.id+".tmp-*")
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	committed := false
-	defer func() {
-		if !committed {
-			tmp.Close()
-			os.Remove(tmpName)
-		}
-	}()
+	defer snap.Discard()
 
 	var snapSeq uint64
-	bw := bufio.NewWriterSize(tmp, 1<<20)
+	bw := bufio.NewWriterSize(snap, 1<<20)
 	err = s.exec.submit(context.Background(), func(context.Context) error {
 		if s.wal != nil {
 			snapSeq = s.wal.Seq()
@@ -304,18 +300,29 @@ func (c *checkpointer) checkpointSession(s *session) error {
 			return err
 		}
 	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
+	if err := snap.Sync(); err != nil {
 		return err
 	}
 
-	metaTmp, err := c.writeMetaTemp(s, snapSeq)
+	meta := sessionMeta{SessionOptions: s.opts, WalBaseSeq: snapSeq}
+	if c.epoch != nil {
+		meta.Epoch = c.epoch()
+	}
+	data, err := json.Marshal(meta)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(metaTmp) // no-op once renamed away
+	metaTmp, err := durable.Create(c.dir, "."+s.id+".meta-*")
+	if err != nil {
+		return err
+	}
+	defer metaTmp.Discard()
+	if _, err := metaTmp.Write(data); err != nil {
+		return err
+	}
+	if err := metaTmp.Sync(); err != nil {
+		return err
+	}
 
 	c.commitMu.Lock()
 	unlock := true
@@ -337,7 +344,7 @@ func (c *checkpointer) checkpointSession(s *session) error {
 			return err
 		}
 	}
-	if err := os.Rename(tmpName, filepath.Join(c.dir, wal.SnapshotName(s.id, snapSeq))); err != nil {
+	if err := snap.Commit(wal.SnapshotName(s.id, snapSeq)); err != nil {
 		return err
 	}
 	if faultinject.Enabled {
@@ -345,10 +352,19 @@ func (c *checkpointer) checkpointSession(s *session) error {
 			return err
 		}
 	}
-	if err := os.Rename(metaTmp, filepath.Join(c.dir, s.id+metaSuffix)); err != nil {
+	if err := metaTmp.Commit(s.id + metaSuffix); err != nil {
 		return err
 	}
-	committed = true // both renames landed; nothing to clean up
+	// Both renames must be durable before anything they supersede goes:
+	// a power loss must not keep the deletions and lose the renames.
+	if faultinject.Enabled {
+		if err := faultinject.Check(faultinject.CheckpointDirSync); err != nil {
+			return err
+		}
+	}
+	if err := durable.SyncDir(c.dir); err != nil {
+		return err
+	}
 	// Superseded snapshots go away under the same commitMu hold, so a
 	// concurrent remove() cannot interleave.
 	for _, sn := range c.snapshotsFor(s.id) {
@@ -370,16 +386,8 @@ func (c *checkpointer) checkpointSession(s *session) error {
 		trunc := snapSeq
 		if c.minAcked != nil {
 			if acked, ok := c.minAcked(s.id); ok {
-				floor := uint64(0)
-				if snapSeq > c.retention {
-					floor = snapSeq - c.retention
-				}
-				if acked < floor {
-					acked = floor
-				}
-				if acked < trunc {
-					trunc = acked
-				}
+				floor := snapSeq - min(snapSeq, c.retention)
+				trunc = min(trunc, max(acked, floor))
 			}
 		}
 		if terr := s.wal.TruncateTo(trunc); terr != nil {
@@ -387,39 +395,6 @@ func (c *checkpointer) checkpointSession(s *session) error {
 		}
 	}
 	return nil
-}
-
-// writeMetaTemp stages the session's meta sidecar as a temp file and
-// returns its path; the caller renames it into place (or removes it).
-func (c *checkpointer) writeMetaTemp(s *session, snapSeq uint64) (string, error) {
-	meta := sessionMeta{SessionOptions: s.opts, WalBaseSeq: snapSeq}
-	if c.epoch != nil {
-		meta.Epoch = c.epoch()
-	}
-	data, err := json.Marshal(meta)
-	if err != nil {
-		return "", err
-	}
-	tmp, err := os.CreateTemp(c.dir, "."+s.id+".meta-*")
-	if err != nil {
-		return "", err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return "", err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return "", err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return "", err
-	}
-	return tmpName, nil
 }
 
 // snapFile is one on-disk snapshot of a session.

@@ -469,16 +469,7 @@ func (p *puller) bootstrap() (*session, error) {
 	}
 	cr := &countingReader{r: rc}
 	sess, err := s.reg.restore(p.sid, opts, cr, func(sess *session) error {
-		o := s.ckpt.walOpts
-		o.Epoch = s.epoch.Load()
-		lg, werr := wal.Open(s.ckpt.walDir, sess.id, info.BaseSeq, o, &s.metrics.wal)
-		if werr != nil {
-			return werr
-		}
-		sess.wal = lg
-		sid := sess.id
-		sess.ship = func(seq uint64) { s.replCommit(sid, seq) }
-		return nil
+		return s.openWAL(sess, info.BaseSeq)
 	})
 	if err != nil {
 		return nil, err

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"bfbdd"
+	"bfbdd/internal/durable"
 	"bfbdd/internal/wal"
 )
 
@@ -132,7 +133,11 @@ func (fr *funcRegistry) publish(id, source string, fn *bfbdd.CompiledFunc) (*art
 			errFuncPoolFull, fr.total.Load(), a.bytes, fr.maxBytes)
 	}
 	if fr.dir != "" {
-		if err := fr.persist(a); err != nil {
+		err := os.MkdirAll(fr.dir, 0o755)
+		if err == nil {
+			err = durable.WriteFile(fr.dir, id+".fn", fn.Serialize)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("persisting function %s: %w", id, err)
 		}
 	}
@@ -164,44 +169,6 @@ func (fr *funcRegistry) remove(id string) error {
 
 func (fr *funcRegistry) path(id string) string {
 	return filepath.Join(fr.dir, id+".fn")
-}
-
-// persist writes the artifact with the same temp + fsync + rename
-// discipline as the checkpointer, so a crash leaves either the old file
-// or the new one, never a torn write.
-func (fr *funcRegistry) persist(a *artifact) error {
-	if err := os.MkdirAll(fr.dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(fr.dir, "."+a.id+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer func() {
-		if tmpName != "" {
-			tmp.Close()
-			os.Remove(tmpName)
-		}
-	}()
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if err := a.fn.Serialize(bw); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpName, fr.path(a.id)); err != nil {
-		return err
-	}
-	tmpName = ""
-	return nil
 }
 
 // reload restores every persisted artifact at startup, sweeping

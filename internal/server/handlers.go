@@ -3,11 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log"
 	"net/http"
 	"strconv"
@@ -16,7 +14,6 @@ import (
 
 	"bfbdd"
 	"bfbdd/internal/faultinject"
-	"bfbdd/internal/node"
 	"bfbdd/internal/replication"
 	"bfbdd/internal/trace"
 	"bfbdd/internal/wal"
@@ -735,20 +732,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			resp = map[string]bool{"equal": f.Equal(g)}
 		case "signature":
-			// Order- and layout-independent structural fingerprint: the
-			// kernel's canonical signature hashed to one hex word. Two
-			// handles denote the same boolean function iff their signatures
-			// match, across sessions, processes, and crash recoveries — the
-			// equality oracle the crash-recovery harness checks survivors
-			// against.
-			sig := sess.mgr.Kernel().CanonicalSignature([]node.Ref{f.Ref()})
-			h := fnv.New64a()
-			var word [8]byte
-			for _, v := range sig {
-				binary.LittleEndian.PutUint64(word[:], v)
-				_, _ = h.Write(word[:])
-			}
-			resp = map[string]string{"signature": fmt.Sprintf("%016x", h.Sum64())}
+			resp = map[string]string{"signature": walreplay.Signature(sess.mgr, f)}
 		default:
 			return fmt.Errorf("%w: unknown query kind %q", errBadRequest, req.Kind)
 		}

@@ -150,6 +150,7 @@ func TestCheckpointCrashConsistency(t *testing.T) {
 		// chaining base).
 		{"rename-snap", faultinject.CheckpointRename, 1},
 		{"rename-meta", faultinject.CheckpointRename, 2},
+		{"dir-sync", faultinject.CheckpointDirSync, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Mutate the live session so a committed checkpoint would

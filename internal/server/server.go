@@ -338,22 +338,16 @@ func New(cfg Config) *Server {
 				if err != nil {
 					return err
 				}
-				o := walOpts
-				o.Epoch = s.epoch.Load()
-				lg, err := wal.Open(s.ckpt.walDir, sess.id, 0, o, &m.wal)
-				if err != nil {
+				if err := s.openWAL(sess, 0); err != nil {
 					return err
 				}
-				if err := lg.Append(wal.CreateRec{Options: data}); err != nil {
-					lg.Close()
-					return err
+				if err := sess.wal.Append(wal.CreateRec{Options: data}); err != nil {
+					return err // the registry's teardown closes the log
 				}
-				sess.wal = lg
-				sid := sess.id
-				sess.ship = func(seq uint64) { s.replCommit(sid, seq) }
-				// The creation record committed before ship was attached;
-				// notify it by hand so followers see sequence 1 promptly.
-				sess.ship(lg.Seq())
+				// The creation record bypasses the session's journal path,
+				// which notifies shipping; notify it by hand so followers
+				// see sequence 1 promptly.
+				sess.ship(sess.wal.Seq())
 				return nil
 			}
 			// A session restored over the API replaces any previous history
@@ -361,16 +355,7 @@ func New(cfg Config) *Server {
 			// or garble the new timeline, so they go first.
 			s.reg.walAdopt = func(sess *session) error {
 				s.ckpt.purge(sess.id)
-				o := walOpts
-				o.Epoch = s.epoch.Load()
-				lg, err := wal.Open(s.ckpt.walDir, sess.id, 0, o, &m.wal)
-				if err != nil {
-					return err
-				}
-				sess.wal = lg
-				sid := sess.id
-				sess.ship = func(seq uint64) { s.replCommit(sid, seq) }
-				return nil
+				return s.openWAL(sess, 0)
 			}
 			s.ckpt.recover()
 			go s.ckpt.run()
@@ -392,6 +377,21 @@ func New(cfg Config) *Server {
 	}
 	go s.janitor()
 	return s
+}
+
+// openWAL starts sess's log at base under the current epoch and ships
+// its commits to followers.
+func (s *Server) openWAL(sess *session, base uint64) error {
+	o := s.ckpt.walOpts
+	o.Epoch = s.epoch.Load()
+	lg, err := wal.Open(s.ckpt.walDir, sess.id, base, o, &s.metrics.wal)
+	if err != nil {
+		return err
+	}
+	sess.wal = lg
+	sid := sess.id
+	sess.ship = func(seq uint64) { s.replCommit(sid, seq) }
+	return nil
 }
 
 // CheckpointNow synchronously checkpoints every live session. It is a

@@ -4,6 +4,8 @@ package server
 
 import (
 	"net/http"
+	"os"
+	"slices"
 	"testing"
 
 	"bfbdd/internal/faultinject"
@@ -164,6 +166,61 @@ func TestWALTruncateCrashWindow(t *testing.T) {
 	if len(segs) != 1 {
 		t.Fatalf("segments after healed checkpoint = %+v, want just the active one", segs)
 	}
+}
+
+// TestCheckpointDirSyncPrecedesTruncation fails the directory fsync that
+// makes a checkpoint's two renames durable. Until that fsync succeeds a
+// power loss could still undo the renames, so nothing the checkpoint
+// supersedes may be deleted: the checkpoint reports failure, the older
+// snapshot and every WAL segment stay, and a restart recovers every
+// acknowledged handle.
+func TestCheckpointDirSyncPrecedesTruncation(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+
+	dir := t.TempDir()
+	cfg := walConfig(dir)
+	srv, ts := testServer(t, cfg)
+	sid := createSession(t, ts.URL, SessionOptions{Vars: 8})
+	v0 := mkVar(t, ts.URL, sid, 0, false)
+	v1 := mkVar(t, ts.URL, sid, 1, false)
+	srv.CheckpointNow()
+	oldSnap := latestSnapshot(dir, sid)
+	if oldSnap == "" {
+		t.Fatal("baseline checkpoint did not commit")
+	}
+
+	a := apply(t, ts.URL, sid, "xor", v0, v1)
+	segsBefore, err := wal.ListSegments(wal.Dir(dir), sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failuresBefore := srv.metrics.checkpointFailures.Load()
+	faultinject.Arm(faultinject.CheckpointDirSync, nil)
+	srv.CheckpointNow()
+	faultinject.Reset()
+	if got := srv.metrics.checkpointFailures.Load(); got != failuresBefore+1 {
+		t.Fatalf("checkpointFailures = %d, want %d: the checkpoint must report the failed directory sync", got, failuresBefore+1)
+	}
+	if _, err := os.Stat(oldSnap); err != nil {
+		t.Fatalf("superseded snapshot removed before the directory sync: %v", err)
+	}
+	segsAfter, err := wal.ListSegments(wal.Dir(dir), sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range segsBefore {
+		if !slices.ContainsFunc(segsAfter, func(sg wal.Segment) bool { return sg.Base == want.Base }) {
+			t.Fatalf("segment %d truncated before the directory sync; segments now %+v", want.Base, segsAfter)
+		}
+	}
+
+	ledger := map[uint64]string{
+		v0: sigOf(t, ts.URL, sid, v0),
+		v1: sigOf(t, ts.URL, sid, v1),
+		a:  sigOf(t, ts.URL, sid, a),
+	}
+	assertRecovered(t, cfg, dir, sid, ledger)
 }
 
 // TestWALSyncFailureBreaksLog: under -wal-sync=always a failed fsync

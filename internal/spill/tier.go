@@ -326,6 +326,8 @@ func writeLevelFile(path string, level int, segs []segment, tables [][][]Node, p
 	crcOff := fixedHdr + workers*segSize
 	binary.LittleEndian.PutUint32(hdr[crcOff:], crc32.Checksum(hdr[:crcOff], castagnoli))
 
+	// Not internal/durable: spill files are scratch state wiped at startup
+	// (DESIGN.md §14), so their renames need no directory fsync.
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bfbdd/internal/durable"
 	"bfbdd/internal/faultinject"
 )
 
@@ -119,19 +120,7 @@ func SegmentName(id string, base uint64) string {
 
 // ParseSegmentName inverts SegmentName.
 func ParseSegmentName(name string) (id string, base uint64, ok bool) {
-	rest, found := strings.CutSuffix(name, ".wal")
-	if !found {
-		return "", 0, false
-	}
-	i := strings.LastIndexByte(rest, '.')
-	if i < 0 || len(rest)-i-1 != 20 {
-		return "", 0, false
-	}
-	n, err := strconv.ParseUint(rest[i+1:], 10, 64)
-	if err != nil {
-		return "", 0, false
-	}
-	return rest[:i], n, true
+	return parseSeqName(name, ".wal")
 }
 
 // SnapshotName is the file name of a checkpoint snapshot taken at seq.
@@ -141,7 +130,12 @@ func SnapshotName(id string, seq uint64) string {
 
 // ParseSnapshotName inverts SnapshotName.
 func ParseSnapshotName(name string) (id string, seq uint64, ok bool) {
-	rest, found := strings.CutSuffix(name, ".snap")
+	return parseSeqName(name, ".snap")
+}
+
+// parseSeqName splits a name made as <id>.<20-digit sequence><suffix>.
+func parseSeqName(name, suffix string) (id string, seq uint64, ok bool) {
+	rest, found := strings.CutSuffix(name, suffix)
 	if !found {
 		return "", 0, false
 	}
@@ -206,24 +200,12 @@ func createSegment(dir, id string, base, epoch uint64) (*os.File, error) {
 		os.Remove(path)
 		return nil, err
 	}
-	if err := syncDir(dir); err != nil {
+	if err := durable.SyncDir(dir); err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, err
 	}
 	return f, nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Seq returns the sequence number of the last appended record.
@@ -369,16 +351,21 @@ func (l *Log) Rotate() error {
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
-	f, err := createSegment(l.dir, l.id, l.seq, l.opts.Epoch)
+	return l.startSegment(l.opts.Epoch)
+}
+
+// startSegment replaces the active segment with a fresh one based at the
+// current sequence and stamped with epoch; a new base is a rotation.
+func (l *Log) startSegment(epoch uint64) error {
+	f, err := createSegment(l.dir, l.id, l.seq, epoch)
 	if err != nil {
 		return err
 	}
+	if l.base != l.seq {
+		l.ctr.Rotations.Add(1)
+	}
 	old := l.f
-	l.f = f
-	l.base = l.seq
-	l.off = HeaderSize
-	l.dirty = false
-	l.ctr.Rotations.Add(1)
+	l.f, l.base, l.off, l.dirty, l.opts.Epoch = f, l.seq, HeaderSize, false, epoch
 	return old.Close()
 }
 
@@ -409,21 +396,7 @@ func (l *Log) SetEpoch(epoch uint64) error {
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
-	rotated := l.base != l.seq
-	f, err := createSegment(l.dir, l.id, l.seq, epoch)
-	if err != nil {
-		return err
-	}
-	l.opts.Epoch = epoch
-	old := l.f
-	l.f = f
-	l.base = l.seq
-	l.off = HeaderSize
-	l.dirty = false
-	if rotated {
-		l.ctr.Rotations.Add(1)
-	}
-	return old.Close()
+	return l.startSegment(epoch)
 }
 
 // TruncateTo deletes this log's segments that a checkpoint at seq fully
@@ -461,7 +434,7 @@ func (l *Log) TruncateTo(seq uint64) error {
 	}
 	if removed > 0 {
 		l.ctr.Truncated.Add(uint64(removed))
-		if err := syncDir(l.dir); err != nil && firstErr == nil {
+		if err := durable.SyncDir(l.dir); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -509,52 +482,44 @@ type Segment struct {
 // ListSegments returns id's segments in ascending base order. A missing
 // directory is an empty list, not an error.
 func ListSegments(dir, id string) ([]Segment, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
 	var segs []Segment
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
+	err := scanSegments(dir, func(name, sid string, base uint64) {
+		if sid == id {
+			segs = append(segs, Segment{Path: filepath.Join(dir, name), Base: base})
 		}
-		sid, base, ok := ParseSegmentName(e.Name())
-		if !ok || sid != id {
-			continue
-		}
-		segs = append(segs, Segment{Path: filepath.Join(dir, e.Name()), Base: base})
-	}
+	})
 	sort.Slice(segs, func(i, j int) bool { return segs[i].Base < segs[j].Base })
-	return segs, nil
+	return segs, err
 }
 
 // SessionIDs returns the distinct session ids that have segments in dir.
 func SessionIDs(dir string) ([]string, error) {
+	seen := make(map[string]bool)
+	var ids []string
+	err := scanSegments(dir, func(_, id string, _ uint64) {
+		if !seen[id] {
+			seen[id] = true
+			ids = append(ids, id)
+		}
+	})
+	sort.Strings(ids)
+	return ids, err
+}
+
+// scanSegments calls fn for each segment file in dir; a missing
+// directory holds none.
+func scanSegments(dir string, fn func(name, id string, base uint64)) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return nil
 		}
-		return nil, err
+		return err
 	}
-	seen := make(map[string]struct{})
-	var ids []string
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		id, _, ok := ParseSegmentName(e.Name())
-		if !ok {
-			continue
-		}
-		if _, dup := seen[id]; !dup {
-			seen[id] = struct{}{}
-			ids = append(ids, id)
+		if id, base, ok := ParseSegmentName(e.Name()); ok && !e.IsDir() {
+			fn(e.Name(), id, base)
 		}
 	}
-	sort.Strings(ids)
-	return ids, nil
+	return nil
 }

@@ -10,10 +10,13 @@
 package walreplay
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 
 	"bfbdd"
+	"bfbdd/internal/node"
 	"bfbdd/internal/wal"
 )
 
@@ -70,6 +73,23 @@ func (st *State) Undo(h uint64) {
 	if h == st.NextHandle {
 		st.NextHandle--
 	}
+}
+
+// Signature is b's order- and layout-independent fingerprint: the
+// kernel's canonical signature hashed to one hex word. Two handles
+// denote the same boolean function iff their signatures match, across
+// sessions, processes and crash recoveries. The server's "signature"
+// query and bfbdd-wal replay both report it, so a crash-recovery harness
+// can compare a live server against an offline replay.
+func Signature(m *bfbdd.Manager, b *bfbdd.BDD) string {
+	sig := m.Kernel().CanonicalSignature([]node.Ref{b.Ref()})
+	h := fnv.New64a()
+	var word [8]byte
+	for _, v := range sig {
+		binary.LittleEndian.PutUint64(word[:], v)
+		_, _ = h.Write(word[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // set installs b under wire handle h. An existing binding is released
