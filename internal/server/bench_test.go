@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -100,6 +101,44 @@ func BenchmarkServerApply(b *testing.B) {
 				f := handles[i%len(handles)]
 				g := handles[(i+3)%len(handles)]
 				benchPost(b, s+"/apply", fmt.Sprintf(`{"op":"xor","f":%d,"g":%d}`, f, g))
+			}
+		})
+	}
+}
+
+// BenchmarkEvalHandler measures the eval route in-process, from request
+// body to encoded response, on a 256×22 batch: the shape perfbench's
+// serve-rw sends a published mult-11. canonical is the body as a JSON
+// encoder writes it, which the scanner decodes; fallback differs only in
+// one key's case, which sends it through encoding/json.
+func BenchmarkEvalHandler(b *testing.B) {
+	_, ts := benchServer(b, Config{})
+	sid := benchPost(b, ts.URL+"/v1/sessions", `{"vars":22}`)["session"].(string)
+	s := ts.URL + "/v1/sessions/" + sid
+	// f = x0 xor (x1 and x2) xor (x3 and x4) ... over all 22 variables.
+	f := benchPost(b, s+"/vars", `{"index":0}`)["handle"]
+	for v := 1; v+1 < 22; v += 2 {
+		x := benchPost(b, s+"/vars", fmt.Sprintf(`{"index":%d}`, v))["handle"]
+		y := benchPost(b, s+"/vars", fmt.Sprintf(`{"index":%d}`, v+1))["handle"]
+		g := benchPost(b, s+"/apply", fmt.Sprintf(`{"op":"and","f":%v,"g":%v}`, x, y))["handle"]
+		f = benchPost(b, s+"/apply", fmt.Sprintf(`{"op":"xor","f":%v,"g":%v}`, f, g))["handle"]
+	}
+	benchPost(b, s+"/publish", fmt.Sprintf(`{"name":"bench","handles":[%v]}`, f))
+	canonical := canonicalEvalBody(uint64(f.(float64)))
+	h := ts.Config.Handler
+	for _, v := range []struct{ name, body string }{
+		{"canonical", canonical},
+		{"fallback", strings.Replace(canonical, `"root"`, `"Root"`, 1)},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(v.body)))
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/funcs/bench/eval", strings.NewReader(v.body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("eval -> %d: %s", rec.Code, rec.Body)
+				}
 			}
 		})
 	}

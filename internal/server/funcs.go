@@ -6,7 +6,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -32,9 +31,6 @@ var (
 	// past its byte pool; artifacts have their own pool and never count
 	// against session budgets, so this maps to 413 like a budget abort.
 	errFuncPoolFull = errors.New("published-function byte pool exhausted")
-	// errEvalTooLarge is the eval endpoint's 413: request body over the
-	// size limit or batch over the assignment cap.
-	errEvalTooLarge = errors.New("eval request too large")
 )
 
 // artifact is one published compiled function plus its bookkeeping. The
@@ -362,22 +358,14 @@ func (s *Server) handleEvalFunc(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	var req struct {
-		// Root selects the published root by its handle ID; defaults to
-		// the artifact's first root.
-		Root        *uint64  `json:"root,omitempty"`
-		Assignments [][]bool `json:"assignments"`
+	body, err := readBody(w, r, s.cfg.MaxEvalBodyBytes)
+	if err != nil {
+		fail(w, err)
+		return
 	}
-	// Not decode(): the eval endpoint has its own body limit, and hitting
-	// it must map to 413, not 400.
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxEvalBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			fail(w, fmt.Errorf("%w: body exceeds %d bytes", errEvalTooLarge, s.cfg.MaxEvalBodyBytes))
-			return
-		}
-		fail(w, fmt.Errorf("%w: %v", errBadRequest, err))
+	req, err := parseEvalRequest(body)
+	if err != nil {
+		fail(w, err)
 		return
 	}
 	if len(req.Assignments) == 0 {
@@ -386,7 +374,7 @@ func (s *Server) handleEvalFunc(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Assignments) > s.cfg.MaxEvalBatch {
 		fail(w, fmt.Errorf("%w: batch of %d assignments exceeds cap %d",
-			errEvalTooLarge, len(req.Assignments), s.cfg.MaxEvalBatch))
+			errTooLarge, len(req.Assignments), s.cfg.MaxEvalBatch))
 		return
 	}
 	root := 0

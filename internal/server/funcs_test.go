@@ -2,11 +2,15 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -222,6 +226,76 @@ func TestEvalHardening(t *testing.T) {
 		map[string]any{"root": 123456, "assignments": batch(1)}, http.StatusBadRequest)
 	mustCall(t, "POST", base+"/v1/funcs/hard/eval",
 		map[string]any{"root": f, "assignments": [][]bool{}}, http.StatusBadRequest)
+}
+
+// postRaw posts body byte for byte, which call's json.Marshal would
+// normalise, and decodes the response.
+func postRaw(t *testing.T, url, body string) (int, map[string]any) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	out := map[string]any{}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("decode response: %v", err)
+	}
+	return resp.StatusCode, out
+}
+
+// TestEvalNonCanonicalBodies pins the eval route's answer to bodies the
+// canonical-shape scanner leaves to encoding/json: each must keep
+// encoding/json's status and values. The artifact has two roots, x0
+// (the default) and the fixture f, and rows C and D tell them apart.
+func TestEvalNonCanonicalBodies(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	base := ts.URL
+	sid, f := publishFixture(t, base)
+	x0 := mkVar(t, base, sid, 0, false)
+	mustCall(t, "POST", base+"/v1/sessions/"+sid+"/publish",
+		map[string]any{"name": "eq", "handles": []uint64{x0, f}}, http.StatusCreated)
+
+	const (
+		C = `[false,false,true,false,false,false]` // x0 false, f true
+		D = `[true,false,false,false,false,false]` // x0 true, f false
+	)
+	F := strconv.FormatUint(f, 10)
+	wrapped := new(big.Int).Add(new(big.Int).SetUint64(f), new(big.Int).Lsh(big.NewInt(1), 64))
+	cases := []struct {
+		name, body string
+		code       int
+		want       []bool
+	}{
+		{"canonical", `{"root":` + F + `,"assignments":[` + C + `,` + D + `]}`, 200, []bool{true, false}},
+		{"whitespace", " {\n\t\"assignments\" : [ " + C + " ] ,\r\n \"root\" : " + F + " }\n", 200, []bool{true}},
+		{"folded key", `{"root":` + F + `,"Assignments":[` + C + `,` + D + `]}`, 200, []bool{true, false}},
+		{"escaped key", `{"\u0072oot":` + F + `,"assignments":[` + C + `,` + D + `]}`, 200, []bool{true, false}},
+		{"null root", `{"root":null,"assignments":[` + C + `,` + D + `]}`, 200, []bool{false, true}},
+		{"duplicate assignments", `{"root":` + F + `,"assignments":[` + C + `],"assignments":[` + D + `,` + C + `,` + D + `]}`, 200, []bool{false, true, false}},
+		{"duplicate root", `{"root":1,"root":` + F + `,"assignments":[` + C + `]}`, 200, []bool{true}},
+		{"unknown field", `{"root":` + F + `,"extra":{"a":[1,null,"x"]},"assignments":[` + C + `]}`, 200, []bool{true}},
+		{"null value", `{"root":` + F + `,"assignments":[[true,null,false,false,false,false]]}`, 200, []bool{false}},
+		{"trailing bytes", `{"root":` + F + `,"assignments":[` + C + `]} {]trailing`, 200, []bool{true}},
+		{"leading zero root", `{"root":0` + F + `,"assignments":[` + C + `]}`, 400, nil},
+		{"exponent root", `{"root":` + F + `e0,"assignments":[` + C + `]}`, 400, nil},
+		{"negative root", `{"root":-` + F + `,"assignments":[` + C + `]}`, 400, nil},
+		{"overflowing root", `{"root":18446744073709551616,"assignments":[` + C + `]}`, 400, nil},
+		{"wrapping root", `{"root":` + wrapped.String() + `,"assignments":[` + C + `]}`, 400, nil},
+	}
+	for _, tc := range cases {
+		code, out := postRaw(t, base+"/v1/funcs/eq/eval", tc.body)
+		if code != tc.code {
+			t.Errorf("%s: status %d want %d (%v)", tc.name, code, tc.code, out)
+			continue
+		}
+		if tc.code != http.StatusOK {
+			continue
+		}
+		if got := evalValues(t, out); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: values %v want %v", tc.name, got, tc.want)
+		}
+	}
 }
 
 // TestFuncPool enforces the artifact byte pool with 413 and checks

@@ -47,7 +47,7 @@ func errStatus(err error) int {
 	case errors.Is(err, errSessionClosing), errors.Is(err, errSessionExists),
 		errors.Is(err, errSessionPoisoned), errors.Is(err, errFuncExists):
 		return http.StatusConflict
-	case errors.Is(err, errEvalTooLarge), errors.Is(err, errFuncPoolFull):
+	case errors.Is(err, errTooLarge), errors.Is(err, errFuncPoolFull):
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, errTooManySessions), errors.Is(err, errQueueFull):
 		return http.StatusTooManyRequests
@@ -103,13 +103,43 @@ func fail(w http.ResponseWriter, err error) {
 	writeError(w, errStatus(err), err.Error())
 }
 
-// decode reads the request body as JSON into v, bounding its size.
-func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+// readBody reads a JSON route's whole request body. A body over limit
+// bytes is errTooLarge (413); any other read failure is a 400. Sizing
+// the buffer from Content-Length reads a body into one allocation; the
+// 64 KiB cap keeps a header alone from reserving the whole limit.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	size := int64(bytes.MinRead)
+	if r.ContentLength > 0 {
+		size += min(r.ContentLength, limit, 64<<10)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return nil, fmt.Errorf("%w: body exceeds %d bytes", errTooLarge, limit)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeJSON decodes the first JSON value of body into v, ignoring any
+// bytes after it.
+func decodeJSON(body []byte, v any) error {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
 		return fmt.Errorf("%w: %v", errBadRequest, err)
 	}
 	return nil
+}
+
+// decode reads a request body of at most 1 MiB as JSON into v.
+func decode(w http.ResponseWriter, r *http.Request, v any) error {
+	body, err := readBody(w, r, 1<<20)
+	if err != nil {
+		return err
+	}
+	return decodeJSON(body, v)
 }
 
 // parseOp maps a wire operation name to a batch op kind.

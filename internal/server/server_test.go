@@ -401,6 +401,21 @@ func TestServerErrors(t *testing.T) {
 		map[string]any{"kind": "size", "f": h}, http.StatusOK)
 }
 
+// TestJSONBodyLimit checks the JSON routes' shared body limit: a body
+// over 1 MiB is refused with 413, the same status the eval route gives
+// one over its own limit, and a body just under it is served.
+func TestJSONBodyLimit(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	base := ts.URL
+	sid := createSession(t, base, SessionOptions{Vars: 4})
+	f, g := mkVar(t, base, sid, 0, false), mkVar(t, base, sid, 1, false)
+	body := func(pad int) map[string]any {
+		return map[string]any{"op": "xor", "f": f, "g": g, "pad": strings.Repeat("x", pad)}
+	}
+	mustCall(t, "POST", base+"/v1/sessions/"+sid+"/apply", body(1<<20), http.StatusRequestEntityTooLarge)
+	mustCall(t, "POST", base+"/v1/sessions/"+sid+"/apply", body(1<<20-100), http.StatusOK)
+}
+
 // TestServerGracefulShutdown checks that Shutdown drains accepted session
 // work and closes every manager.
 func TestServerGracefulShutdown(t *testing.T) {

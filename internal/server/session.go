@@ -37,6 +37,9 @@ var (
 	// subsequent operation is refused until the client deletes it (or
 	// restores a fresh session from the last good checkpoint).
 	errSessionPoisoned = errors.New("session poisoned by internal engine fault")
+	// errTooLarge is a 413: a request body over its route's byte limit,
+	// or an eval batch over the assignment cap.
+	errTooLarge = errors.New("request too large")
 )
 
 // SessionOptions is the wire shape of a session-creation request: the
