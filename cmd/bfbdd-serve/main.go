@@ -94,9 +94,6 @@ func main() {
 		traceRing       = flag.Int("trace-ring", 128, "completed traces retained for GET /v1/debug/traces")
 		slowBuild       = flag.Duration("slow-build-threshold", 0, "log a per-phase breakdown of any engine build slower than this (0 disables)")
 	)
-	// -shutdown-timeout is the historical name of -drain-timeout; both set
-	// the same value, last one parsed wins.
-	flag.DurationVar(drainTimeout, "shutdown-timeout", 30*time.Second, "alias for -drain-timeout")
 	flag.Parse()
 
 	if *followURL != "" && *checkpointDir == "" {

@@ -76,15 +76,23 @@ const (
 // contiguously, which is what makes the breadth-first queues cache
 // friendly; the arena itself doubles as backing storage for both the
 // operator queue and the reduce queue.
+//
+// Only the owning worker allocates, but any peer resolves operator nodes
+// through at while the owner keeps allocating. The block table is
+// therefore published through an atomic pointer: the owner never writes
+// a table header a peer can load, only appends into slots past every
+// published length and stores a fresh header (see grow).
 type opArena struct {
-	blocks [][]opNode
+	blocks atomic.Pointer[[]*opBlock]
 	n      uint32
 }
 
+type opBlock [opBlockSize]opNode
+
 func (a *opArena) alloc(op Op, f, g node.Ref) uint32 {
 	i := a.n
-	if i>>opBlockShift == uint32(len(a.blocks)) {
-		a.blocks = append(a.blocks, make([]opNode, opBlockSize))
+	if i&opBlockMask == 0 && int(i>>opBlockShift) == a.numBlocks() {
+		a.grow()
 	}
 	a.n++
 	nd := a.at(i)
@@ -95,16 +103,28 @@ func (a *opArena) alloc(op Op, f, g node.Ref) uint32 {
 	return i
 }
 
-func (a *opArena) at(i uint32) *opNode {
-	return &a.blocks[i>>opBlockShift][i&opBlockMask]
+// grow publishes a block table one block longer.
+func (a *opArena) grow() {
+	var t []*opBlock
+	if old := a.blocks.Load(); old != nil {
+		t = *old
+	}
+	t = append(t, new(opBlock))
+	a.blocks.Store(&t)
 }
 
-func (a *opArena) len() uint32 { return a.n }
+func (a *opArena) at(i uint32) *opNode {
+	return &(*a.blocks.Load())[i>>opBlockShift][i&opBlockMask]
+}
+
+func (a *opArena) numBlocks() int {
+	if t := a.blocks.Load(); t != nil {
+		return len(*t)
+	}
+	return 0
+}
 
 // reset drops all operator nodes but keeps block storage for reuse.
 func (a *opArena) reset() { a.n = 0 }
 
-// release returns block storage to the runtime.
-func (a *opArena) release() { a.blocks = nil; a.n = 0 }
-
-func (a *opArena) bytes() uint64 { return uint64(len(a.blocks)) * opBlockSize * opNodeBytes }
+func (a *opArena) bytes() uint64 { return uint64(a.numBlocks()) * opBlockSize * opNodeBytes }

@@ -304,7 +304,7 @@ func (f *follower) promote() (uint64, bool, error) {
 	// Stamp the new epoch into every live log: the next segment each
 	// session writes carries it, so a restarted old primary (whose
 	// on-disk history is at the old epoch) is refused on open if it
-	// ever sees this directory, and bfbdd-wal verify can prove which
+	// ever sees this directory, and `bfbdd wal verify` can prove which
 	// timeline a segment belongs to.
 	for _, sess := range s.reg.list() {
 		if sess.wal == nil {

@@ -447,7 +447,7 @@ func (s *Server) handleQueryFunc(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDownloadFunc streams the artifact in its wire format, so a
-// client (or bfbdd-compile) can evaluate it offline.
+// client (or `bfbdd func`) can evaluate it offline.
 func (s *Server) handleDownloadFunc(w http.ResponseWriter, r *http.Request) {
 	a, err := s.funcs.get(r.PathValue("fid"))
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 
 // The export schema is the stable wire shape of a completed trace:
 // struct-ordered JSON fields, attributes as ordered key/value pairs (no
-// maps), span ids dense from 1 in creation order. bfbdd-trace validates
+// maps), span ids dense from 1 in creation order. `bfbdd trace` validates
 // and pretty-prints this shape; golden tests pin it.
 
 // ExportedAttr is one attribute of an exported span.
@@ -87,8 +87,8 @@ func (t *Trace) Export() *Exported {
 // Validate checks an exported trace against the schema's structural
 // invariants: non-empty id, dense 1-based span ids in order, parents
 // referring to an earlier span (or 0), non-negative durations, and
-// span 1 being the single root. It is the check bfbdd-trace -validate
-// and the CI trace-smoke job run on server exports.
+// span 1 being the single root. It is the check `bfbdd trace` and
+// the CI trace-smoke job run on server exports.
 func (ex *Exported) Validate() error {
 	if ex == nil {
 		return errors.New("nil trace")

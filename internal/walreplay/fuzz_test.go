@@ -19,7 +19,7 @@ func frames(recs ...wal.Record) []byte {
 
 // FuzzApply drives hostile frame streams through the shared
 // record-to-engine path. Apply serves live construction requests,
-// follower-shipped frames, recovery and the bfbdd-wal CLI, so every
+// follower-shipped frames, recovery and the `bfbdd wal` tool, so every
 // record that decodes must either apply or return an error — never panic
 // — and every handle left bound must still be a usable BDD.
 func FuzzApply(f *testing.F) {

@@ -2,7 +2,7 @@
 // and wire-handle table. It is the single place a construction record
 // becomes engine calls: the server's live construction routes build a
 // record under the next wire handle and execute it here before
-// journaling it, and startup recovery, followers and the bfbdd-wal CLI
+// journaling it, and startup recovery, followers and the `bfbdd wal` tool
 // replay the journaled records through the same Apply. Every record
 // carries the wire handle its result was acknowledged under, so replay
 // rebuilds the exact handle numbering regardless of how the original
@@ -79,7 +79,7 @@ func (st *State) Undo(h uint64) {
 // kernel's canonical signature hashed to one hex word. Two handles
 // denote the same boolean function iff their signatures match, across
 // sessions, processes and crash recoveries. The server's "signature"
-// query and bfbdd-wal replay both report it, so a crash-recovery harness
+// query and `bfbdd wal replay` both report it, so a crash-recovery harness
 // can compare a live server against an offline replay.
 func Signature(m *bfbdd.Manager, b *bfbdd.BDD) string {
 	sig := m.Kernel().CanonicalSignature([]node.Ref{b.Ref()})

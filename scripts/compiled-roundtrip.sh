@@ -4,8 +4,8 @@
 # their answers, close the session, kill the server with -9, restart
 # over the same directory, and require the artifacts back with
 # bit-identical answers — plus a download/offline round trip through
-# the bfbdd-compile CLI. Run from the repo root with ./bfbdd-serve and
-# ./bfbdd-compile already built (see .github/workflows/ci.yml).
+# the bfbdd func CLI. Run from the repo root with ./bfbdd-serve and
+# ./bfbdd already built (see .github/workflows/ci.yml).
 set -euo pipefail
 
 ADDR=127.0.0.1:8727
@@ -96,16 +96,16 @@ VALUES_AFTER=$(eval_batch roundtrip "$F")
 SAT_AFTER=$(jsonget "$(curl -sf "$BASE/v1/funcs/roundtrip/query" -d "{\"kind\":\"satcount\",\"root\":$F}")" satcount)
 [ "$SAT_AFTER" = "$SAT_BEFORE" ] || { echo "post-kill satcount drifted: $SAT_AFTER != $SAT_BEFORE" >&2; exit 1; }
 
-echo "=== download and evaluate offline with bfbdd-compile"
+echo "=== download and evaluate offline with bfbdd func"
 curl -sf "$BASE/v1/funcs/roundtrip/download" -o "$FN"
-./bfbdd-compile info "$FN"
+./bfbdd func info "$FN"
 for mask in 0 3 5 12 15; do
   BITS=$(python3 -c 'import sys; m=int(sys.argv[1]); print("".join(str(m >> i & 1) for i in range(4)))' "$mask")
-  GOT=$(./bfbdd-compile eval -root "$F" "$FN" "$BITS" | awk '{print $3}')
+  GOT=$(./bfbdd func eval -root "$F" "$FN" "$BITS" | awk '{print $3}')
   WANT_BIT=$(python3 -c 'import sys; v=sys.argv[1]; m=int(sys.argv[2]); print(v[m])' "$VALUES_BEFORE" "$mask")
   [ "$GOT" = "$WANT_BIT" ] || { echo "CLI eval mask $mask drifted: $GOT != $WANT_BIT" >&2; exit 1; }
 done
-CLI_SAT=$(./bfbdd-compile satcount -root "$F" "$FN")
+CLI_SAT=$(./bfbdd func satcount -root "$F" "$FN")
 [ "$CLI_SAT" = "$SAT_BEFORE" ] || { echo "CLI satcount drifted: $CLI_SAT != $SAT_BEFORE" >&2; exit 1; }
 
 echo "=== delete must stick across restart"

@@ -12,8 +12,8 @@
 #   - the promoted server is writable at a bumped epoch,
 #   - the old primary, restarted as a follower of the new one, refuses
 #     writes with 421 (it re-synced onto the newer timeline),
-#   - bfbdd-wal verify proves the promoted history carries the new epoch.
-# Run from the repo root with ./bfbdd-serve and ./bfbdd-wal already
+#   - bfbdd wal verify proves the promoted history carries the new epoch.
+# Run from the repo root with ./bfbdd-serve and ./bfbdd already
 # built (see .github/workflows/ci.yml).
 set -euo pipefail
 
@@ -162,13 +162,13 @@ echo "ok: old primary re-synced as a follower with an identical ledger"
 echo "=== the promoted history carries the bumped epoch on disk"
 kill -9 "$A_PID"; wait "$A_PID" 2>/dev/null || true; A_PID=
 kill -9 "$B_PID"; wait "$B_PID" 2>/dev/null || true; B_PID=
-OUT=$(./bfbdd-wal verify "$B_CKPT")
+OUT=$(./bfbdd wal verify "$B_CKPT")
 python3 -c '
 import json, sys
 v = json.loads(sys.argv[1])
 assert v["ok"], v
 assert v.get("max_epoch", 0) >= 2, v
 ' "$OUT"
-echo "ok: bfbdd-wal verify reports the promoted epoch: $OUT"
+echo "ok: bfbdd wal verify reports the promoted epoch: $OUT"
 
 echo "=== all failover-drill checks passed"

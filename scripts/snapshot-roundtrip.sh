@@ -3,8 +3,8 @@
 # process: build state, checkpoint, kill -9, restart over the same
 # directory, and require bit-identical answers — plus an explicit
 # snapshot-download/upload round trip through the HTTP API and the
-# bfbdd-snap CLI. Run from the repo root with ./bfbdd-serve and
-# ./bfbdd-snap already built (see .github/workflows/ci.yml).
+# bfbdd snap CLI. Run from the repo root with ./bfbdd-serve and
+# ./bfbdd already built (see .github/workflows/ci.yml).
 set -euo pipefail
 
 ADDR=127.0.0.1:8717
@@ -53,8 +53,8 @@ echo "session $SID, handle $F, satcount $SAT_BEFORE"
 
 echo "=== wire snapshot round trip"
 curl -sf -X POST "$S/snapshot" -o "$SNAP"
-./bfbdd-snap info "$SNAP"
-./bfbdd-snap verify "$SNAP"
+./bfbdd snap info "$SNAP"
+./bfbdd snap verify "$SNAP"
 RESTORED=$(curl -sf --data-binary @"$SNAP" "$BASE/v1/sessions/restore?engine=df")
 SID2=$(python3 -c 'import json,sys; print(json.loads(sys.argv[1])["info"]["session"])' "$RESTORED")
 SAT_WIRE=$(jsonget "$(curl -sf "$BASE/v1/sessions/$SID2/query" -d "{\"kind\":\"satcount\",\"f\":$F}")" satcount)

@@ -2,11 +2,11 @@
 # End-to-end tracing smoke against a real bfbdd-serve process: run a
 # traced workload (forced traces and head sampling), export every
 # retained trace through GET /v1/debug/traces, and validate the exports
-# with the bfbdd-trace CLI — which enforces the span-tree schema (dense
+# with the bfbdd trace CLI — which enforces the span-tree schema (dense
 # 1-based ids, single root, parents before children, non-negative
 # durations) and exits nonzero on any malformed trace or empty export.
 # Also checks the slow-build diagnostic log line fires. Run from the
-# repo root with ./bfbdd-serve and ./bfbdd-trace already built (see
+# repo root with ./bfbdd-serve and ./bfbdd already built (see
 # .github/workflows/ci.yml).
 set -euo pipefail
 
@@ -73,11 +73,11 @@ while read -r tid; do
   curl -sf "$BASE/v1/debug/traces/$tid" >>"$OUT/ring.json"
 done
 
-echo "=== validate every export with bfbdd-trace"
-./bfbdd-trace -q "$OUT/forced.json" "$OUT/ring.json"
+echo "=== validate every export with bfbdd trace"
+./bfbdd trace -q "$OUT/forced.json" "$OUT/ring.json"
 # The forced trace must show the full pipeline: batch, kernel build,
 # per-level phases, and the WAL commit (persistence is on).
-./bfbdd-trace "$OUT/forced.json" | tee "$OUT/forced.txt" |
+./bfbdd trace "$OUT/forced.json" | tee "$OUT/forced.txt" |
   grep -q 'kernel-build' || { echo "forced trace lacks kernel-build span" >&2; exit 1; }
 for span in batch expand reduce wal-commit shannon_steps; do
   grep -q "$span" "$OUT/forced.txt" ||

@@ -7,9 +7,9 @@
 # staged leftover-segment layout mimicking a crash between rotation and
 # truncation), restart over the same directory each time, and require
 # that every acknowledged handle still answers with the same signature.
-# Also exercises the bfbdd-wal and bfbdd-snap verifiers' JSON verdicts.
-# Run from the repo root with ./bfbdd-serve, ./bfbdd-wal and
-# ./bfbdd-snap already built (see .github/workflows/ci.yml).
+# Also exercises the bfbdd wal and bfbdd snap verifiers' JSON verdicts.
+# Run from the repo root with ./bfbdd-serve and
+# ./bfbdd already built (see .github/workflows/ci.yml).
 set -euo pipefail
 
 ADDR=127.0.0.1:8719
@@ -85,7 +85,7 @@ S=$BASE/v1/sessions/$SID
 mutate_burst 6
 crash_server
 
-./bfbdd-wal verify "$CKPT" || { echo "bfbdd-wal verify rejected a healthy log" >&2; exit 1; }
+./bfbdd wal verify "$CKPT" || { echo "bfbdd wal verify rejected a healthy log" >&2; exit 1; }
 
 start_server -checkpoint-interval 0
 check_ledger
@@ -101,9 +101,9 @@ sleep 0.6 # let at least one checkpoint (rotate + truncate) commit
 mutate_burst 3
 crash_server
 
-./bfbdd-wal verify "$CKPT" || { echo "bfbdd-wal verify rejected post-churn log" >&2; exit 1; }
+./bfbdd wal verify "$CKPT" || { echo "bfbdd wal verify rejected post-churn log" >&2; exit 1; }
 SNAP=$(ls "$CKPT"/"$SID".*.snap | sort | tail -1)
-./bfbdd-snap verify "$SNAP" || { echo "bfbdd-snap verify rejected the live snapshot" >&2; exit 1; }
+./bfbdd snap verify "$SNAP" || { echo "bfbdd snap verify rejected the live snapshot" >&2; exit 1; }
 
 start_server -checkpoint-interval 0
 check_ledger
@@ -145,13 +145,13 @@ b = bytearray(open(p, "rb").read())
 b[10] ^= 0xFF  # version/flags region of the 24-byte header
 open(p, "wb").write(bytes(b))
 EOF
-if OUT=$(./bfbdd-wal verify "$CKPT" 2>&1); then
-  echo "bfbdd-wal verify accepted a corrupted segment: $OUT" >&2
+if OUT=$(./bfbdd wal verify "$CKPT" 2>&1); then
+  echo "bfbdd wal verify accepted a corrupted segment: $OUT" >&2
   exit 1
 fi
 echo "$OUT" | python3 -c 'import json,sys; v=json.loads(sys.stdin.readline()); assert v["ok"] is False, v' \
-  || { echo "bfbdd-wal verify verdict is not ok:false JSON" >&2; exit 1; }
-echo "ok: bfbdd-wal verify flagged the corruption"
+  || { echo "bfbdd wal verify verdict is not ok:false JSON" >&2; exit 1; }
+echo "ok: bfbdd wal verify flagged the corruption"
 
 SNAP=$(ls "$CKPT"/"$SID".*.snap | sort | tail -1)
 python3 - "$SNAP" <<'EOF'
@@ -161,12 +161,12 @@ b = bytearray(open(p, "rb").read())
 b[len(b) // 2] ^= 0xFF
 open(p, "wb").write(bytes(b))
 EOF
-if OUT=$(./bfbdd-snap verify "$SNAP" 2>&1); then
-  echo "bfbdd-snap verify accepted a corrupted snapshot: $OUT" >&2
+if OUT=$(./bfbdd snap verify "$SNAP" 2>&1); then
+  echo "bfbdd snap verify accepted a corrupted snapshot: $OUT" >&2
   exit 1
 fi
 echo "$OUT" | python3 -c 'import json,sys; v=json.loads(sys.stdin.readline()); assert v["ok"] is False, v' \
-  || { echo "bfbdd-snap verify verdict is not ok:false JSON" >&2; exit 1; }
-echo "ok: bfbdd-snap verify flagged the corruption"
+  || { echo "bfbdd snap verify verdict is not ok:false JSON" >&2; exit 1; }
+echo "ok: bfbdd snap verify flagged the corruption"
 
 echo "=== all crash-recovery checks passed"
