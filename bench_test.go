@@ -14,6 +14,7 @@ package bfbdd_test
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -21,6 +22,7 @@ import (
 	"bfbdd/internal/core"
 	"bfbdd/internal/harness"
 	"bfbdd/internal/netlist"
+	"bfbdd/internal/node"
 	"bfbdd/internal/order"
 	"bfbdd/internal/stats"
 )
@@ -294,6 +296,7 @@ func BenchmarkApplyMicro(b *testing.B) {
 // compiled artifact of all outputs, and a fixed pool of assignments.
 type multEval struct {
 	m    *bfbdd.Manager
+	outs []*bfbdd.BDD
 	mid  *bfbdd.BDD
 	fn   *bfbdd.CompiledFunc
 	root int
@@ -395,7 +398,7 @@ func multEvalSetup(b *testing.B, n int) *multEval {
 		}
 		rows[i] = row
 	}
-	me := &multEval{m: m, mid: outs[mid], fn: fn, root: root, rows: rows}
+	me := &multEval{m: m, outs: outs, mid: outs[mid], fn: fn, root: root, rows: rows}
 	multEvalCache[n] = me
 	return me
 }
@@ -446,5 +449,60 @@ func BenchmarkCompiledEvalBatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(me.rows)), "ns/assign")
 		})
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Whole-graph walks on mult-11's outputs: publishing (Compile), sizing
+// and snapshotting each mark every reachable node through a side table
+// over the arenas. Size/small is a 14-node output, the guard on the
+// table's fixed cost per walk.
+
+// BenchmarkCompileRoots compiles every mult-11 output into one artifact,
+// the kernel half of publishing a function.
+func BenchmarkCompileRoots(b *testing.B) {
+	me := multEvalSetup(b, 11)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := me.m.Compile(me.outs...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSize counts the distinct nodes of all mult-11 outputs, and of
+// one 14-node output.
+func BenchmarkSize(b *testing.B) {
+	me := multEvalSetup(b, 11)
+	refs := make([]node.Ref, len(me.outs))
+	for i, o := range me.outs {
+		refs[i] = o.Ref()
+	}
+	k := me.m.Kernel()
+	b.Run("all", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			k.SizeMulti(refs)
+		}
+	})
+	b.Run("small", func(b *testing.B) {
+		small := me.outs[2]
+		if n := small.Size(); n != 14 {
+			b.Fatalf("output 2 has %d nodes, want 14", n)
+		}
+		for i := 0; i < b.N; i++ {
+			small.Size()
+		}
+	})
+}
+
+// BenchmarkSnapshotWrite snapshots every mult-11 output, the synchronous
+// checkpoint a restore takes.
+func BenchmarkSnapshotWrite(b *testing.B) {
+	me := multEvalSetup(b, 11)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := me.m.Snapshot(io.Discard, me.outs...); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

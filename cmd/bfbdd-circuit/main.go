@@ -199,13 +199,13 @@ func writeDOT(path string, k *core.Kernel, circ *netlist.Circuit, refs []node.Re
 			return fmt.Sprintf("n%d_%d_%d", r.Level(), r.Worker(), r.Index())
 		}
 	}
-	seen := map[node.Ref]bool{}
+	seen := node.NewTable[bool](k.Store())
 	var emit func(r node.Ref)
 	emit = func(r node.Ref) {
-		if r.IsTerminal() || seen[r] {
+		if r.IsTerminal() || *seen.At(r) {
 			return
 		}
-		seen[r] = true
+		*seen.At(r) = true
 		nd := k.Store().Node(r)
 		fmt.Fprintf(f, "  %s [label=\"x%d\"];\n", id(r), r.Level())
 		fmt.Fprintf(f, "  %s -> %s [style=dashed];\n", id(r), id(nd.Low))

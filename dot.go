@@ -36,10 +36,12 @@ func WriteDOT(w io.Writer, names []string, bdds ...*BDD) error {
 	fmt.Fprintln(bw, `  t0 [label="0", shape=box];`)
 	fmt.Fprintln(bw, `  t1 [label="1", shape=box];`)
 
-	// ids maps refs to stable sequence numbers in first-reference order;
-	// the physical (level, worker, index) identity never leaks into the
-	// output, where it would vary run to run under the parallel engine.
-	ids := make(map[node.Ref]int)
+	// Each node's slot holds its sequence number plus one, assigned in
+	// first-reference order, and whether it was emitted; the physical
+	// (level, worker, index) identity never leaks into the output, where
+	// it would vary run to run under the parallel engine.
+	slots := node.NewTable[dotNode](m.k.Store())
+	next := uint32(0)
 	id := func(r node.Ref) string {
 		switch {
 		case r.IsZero():
@@ -47,20 +49,23 @@ func WriteDOT(w io.Writer, names []string, bdds ...*BDD) error {
 		case r.IsOne():
 			return "t1"
 		}
-		n, ok := ids[r]
-		if !ok {
-			n = len(ids)
-			ids[r] = n
+		s := slots.At(r)
+		if s.id == 0 {
+			next++
+			s.id = next
 		}
-		return fmt.Sprintf("n%d", n)
+		return fmt.Sprintf("n%d", s.id-1)
 	}
-	seen := make(map[node.Ref]bool)
 	var emit func(r node.Ref)
 	emit = func(r node.Ref) {
-		if r.IsTerminal() || seen[r] {
+		if r.IsTerminal() {
 			return
 		}
-		seen[r] = true
+		s := slots.At(r)
+		if s.emitted {
+			return
+		}
+		s.emitted = true
 		nd := m.k.Store().Node(r)
 		fmt.Fprintf(bw, "  %s [label=\"x%d\"];\n", id(r), m.level2var[r.Level()])
 		fmt.Fprintf(bw, "  %s -> %s [style=dashed];\n", id(r), id(nd.Low))
@@ -80,4 +85,11 @@ func WriteDOT(w io.Writer, names []string, bdds ...*BDD) error {
 	}
 	fmt.Fprintln(bw, "}")
 	return bw.Flush()
+}
+
+// dotNode is WriteDOT's per-node state: the DOT sequence number plus one
+// (0 = not yet referenced) and whether the node's lines were written.
+type dotNode struct {
+	id      uint32
+	emitted bool
 }

@@ -15,9 +15,9 @@ import (
 // so it remains valid after the kernel is GC'd, reordered, or closed.
 //
 // var2level is the manager's variable order (entry v = level of public
-// variable v). Because the node order comes from Kernel.LevelMajorOrder,
-// compiling the same functions under the same order on any engine yields
-// byte-identical artifacts.
+// variable v). Because the node order and numbering come from
+// Kernel.LevelMajorOrder, compiling the same functions under the same
+// order on any engine yields byte-identical artifacts.
 func Compile(k *core.Kernel, var2level []int, roots []Root) (*Func, error) {
 	L := k.Levels()
 	if len(var2level) != L {
@@ -34,7 +34,7 @@ func Compile(k *core.Kernel, var2level []int, roots []Root) (*Func, error) {
 		}
 		refs[i] = rt.Ref
 	}
-	order, err := k.LevelMajorOrder(refs)
+	order, pos, err := k.LevelMajorOrder(refs)
 	if err != nil {
 		return nil, err
 	}
@@ -42,10 +42,6 @@ func Compile(k *core.Kernel, var2level []int, roots []Root) (*Func, error) {
 		return nil, fmt.Errorf("compiled: %w: %d nodes", ErrTooLarge, len(order))
 	}
 
-	idx := make(map[node.Ref]uint32, len(order))
-	for i, r := range order {
-		idx[r] = uint32(i)
-	}
 	code := func(c node.Ref) uint64 {
 		switch {
 		case c.IsZero():
@@ -53,7 +49,7 @@ func Compile(k *core.Kernel, var2level []int, roots []Root) (*Func, error) {
 		case c.IsOne():
 			return levelfmt.One
 		default:
-			return uint64(idx[c])
+			return uint64(pos.Get(c) - 1)
 		}
 	}
 

@@ -23,9 +23,8 @@ import (
 // the same Boolean functions. This is the cross-engine comparison hook
 // used by the differential oracle (internal/oracle).
 func (k *Kernel) CanonicalSignature(roots []node.Ref) []uint64 {
-	k.checkOpen()
 	k.ensureReadable()
-	code := make(map[node.Ref]uint64)
+	code := node.NewTable[uint64](k.store)
 	var sig []uint64
 	next := uint64(2)
 	var visit func(r node.Ref) uint64
@@ -36,7 +35,7 @@ func (k *Kernel) CanonicalSignature(roots []node.Ref) []uint64 {
 		if r.IsOne() {
 			return 1
 		}
-		if c, ok := code[r]; ok {
+		if c := code.Get(r); c != 0 {
 			return c
 		}
 		nd := k.store.Node(r)
@@ -44,7 +43,7 @@ func (k *Kernel) CanonicalSignature(roots []node.Ref) []uint64 {
 		hi := visit(nd.High)
 		c := next
 		next++
-		code[r] = c
+		*code.At(r) = c
 		sig = append(sig, uint64(r.Level()), lo, hi)
 		return c
 	}

@@ -142,16 +142,22 @@ func (k *Kernel) Compose(f node.Ref, level int, g node.Ref) node.Ref {
 	k.ensureReadable()
 	k.InhibitGC()
 	defer k.ReleaseGC()
-	memo := make(map[node.Ref]node.Ref)
-	return k.composeRec(f, level, g, memo)
+	return k.composeRec(f, level, g, node.NewTable[memoRef](k.store))
 }
 
-func (k *Kernel) composeRec(f node.Ref, level int, g node.Ref, memo map[node.Ref]node.Ref) node.Ref {
+// memoRef is a memoized result in a side table; the zero slot means the
+// node has not been visited.
+type memoRef struct {
+	r  node.Ref
+	ok bool
+}
+
+func (k *Kernel) composeRec(f node.Ref, level int, g node.Ref, memo *node.Table[memoRef]) node.Ref {
 	if f.IsTerminal() || f.Level() > level {
 		return f
 	}
-	if r, ok := memo[f]; ok {
-		return r
+	if m := memo.Get(f); m.ok {
+		return m.r
 	}
 	nd := k.store.Node(f)
 	var res node.Ref
@@ -166,7 +172,7 @@ func (k *Kernel) composeRec(f node.Ref, level int, g node.Ref, memo map[node.Ref
 		v := k.MkNode(f.Level(), node.Zero, node.One)
 		res = k.ITE(v, r1, r0)
 	}
-	memo[f] = res
+	*memo.At(f) = memoRef{res, true}
 	return res
 }
 
@@ -174,21 +180,20 @@ func (k *Kernel) composeRec(f node.Ref, level int, g node.Ref, memo map[node.Ref
 // all of the kernel's variables.
 func (k *Kernel) SatCount(f node.Ref) *big.Int {
 	k.ensureReadable()
-	memo := make(map[node.Ref]*big.Int)
-	c := k.satCountRec(f, memo)
+	c := k.satCountRec(f, node.NewTable[*big.Int](k.store))
 	// Variables with higher precedence than f's top variable are free.
 	return new(big.Int).Lsh(c, uint(min(f.Level(), k.opts.Levels)))
 }
 
 // satCountRec counts assignments of the variables at levels ≥ f's level.
-func (k *Kernel) satCountRec(f node.Ref, memo map[node.Ref]*big.Int) *big.Int {
+func (k *Kernel) satCountRec(f node.Ref, memo *node.Table[*big.Int]) *big.Int {
 	if f.IsZero() {
 		return big.NewInt(0)
 	}
 	if f.IsOne() {
 		return big.NewInt(1)
 	}
-	if c, ok := memo[f]; ok {
+	if c := memo.Get(f); c != nil {
 		return c
 	}
 	nd := k.store.Node(f)
@@ -204,7 +209,7 @@ func (k *Kernel) satCountRec(f node.Ref, memo map[node.Ref]*big.Int) *big.Int {
 	}
 	c := new(big.Int).Lsh(c0, gap(nd.Low))
 	c.Add(c, new(big.Int).Lsh(c1, gap(nd.High)))
-	memo[f] = c
+	*memo.At(f) = c
 	return c
 }
 
@@ -255,57 +260,27 @@ func (k *Kernel) Size(f node.Ref) int { return k.SizeMulti([]node.Ref{f}) }
 // any of the given roots (shared nodes counted once).
 func (k *Kernel) SizeMulti(roots []node.Ref) int {
 	k.ensureReadable()
-	seen := make(map[node.Ref]bool)
-	var stack []node.Ref
-	for _, r := range roots {
-		if !r.IsTerminal() && !seen[r] {
-			seen[r] = true
-			stack = append(stack, r)
-		}
-	}
 	count := 0
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		count++
-		nd := k.store.Node(r)
-		for _, c := range [2]node.Ref{nd.Low, nd.High} {
-			if !c.IsTerminal() && !seen[c] {
-				seen[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
+	k.reach(roots, func(node.Ref) { count++ })
 	return count
 }
 
 // Support returns the sorted levels of the variables occurring in f.
 func (k *Kernel) Support(f node.Ref) []int {
 	k.ensureReadable()
-	present := make(map[int]bool)
-	seen := make(map[node.Ref]bool)
-	var stack []node.Ref
-	if !f.IsTerminal() {
-		stack = append(stack, f)
-		seen[f] = true
-	}
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		present[r.Level()] = true
-		nd := k.store.Node(r)
-		for _, c := range [2]node.Ref{nd.Low, nd.High} {
-			if !c.IsTerminal() && !seen[c] {
-				seen[c] = true
-				stack = append(stack, c)
-			}
+	levels := []int{}
+	k.reach([]node.Ref{f}, func(r node.Ref) {
+		if n := len(levels); n == 0 || levels[n-1] != r.Level() {
+			levels = append(levels, r.Level())
 		}
-	}
-	levels := make([]int, 0, len(present))
-	for l := 0; l < k.opts.Levels; l++ {
-		if present[l] {
-			levels = append(levels, l)
-		}
-	}
+	})
 	return levels
+}
+
+// reach calls visit once for every non-terminal node reachable from
+// roots, level by level from the top (node.Table.Reach).
+func (k *Kernel) reach(roots []node.Ref, visit func(node.Ref)) {
+	if err := node.NewTable[bool](k.store).Reach(roots, true, visit); err != nil {
+		panic("core: " + err.Error())
+	}
 }

@@ -52,7 +52,7 @@ func (k *Kernel) ReorderLevels(levelMap []int) {
 	}
 	k.pinsMu.Unlock()
 
-	memo := make(map[node.Ref]node.Ref)
+	memo := node.NewTable[memoRef](k.store)
 	rebuilt := make([]node.Ref, len(snapshot))
 	for i, p := range snapshot {
 		rebuilt[i] = k.permuteRec(p.ref, levelMap, memo)
@@ -72,18 +72,18 @@ func (k *Kernel) ReorderLevels(levelMap []int) {
 // permuteRec rebuilds f with each variable moved to its new level. The
 // ITE on the renamed variable handles arbitrary permutations, including
 // ones that invert the relative order of f's variables.
-func (k *Kernel) permuteRec(f node.Ref, levelMap []int, memo map[node.Ref]node.Ref) node.Ref {
+func (k *Kernel) permuteRec(f node.Ref, levelMap []int, memo *node.Table[memoRef]) node.Ref {
 	if f.IsTerminal() {
 		return f
 	}
-	if r, ok := memo[f]; ok {
-		return r
+	if m := memo.Get(f); m.ok {
+		return m.r
 	}
 	nd := k.store.Node(f)
 	r0 := k.permuteRec(nd.Low, levelMap, memo)
 	r1 := k.permuteRec(nd.High, levelMap, memo)
 	v := k.MkNode(levelMap[f.Level()], node.Zero, node.One)
 	res := k.ITE(v, r1, r0)
-	memo[f] = res
+	*memo.At(f) = memoRef{res, true}
 	return res
 }

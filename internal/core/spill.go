@@ -129,8 +129,10 @@ func (k *Kernel) prefetchAhead(level int) {
 // ensureReadable makes every level resolvable before a read-only
 // traversal. With an mmap backend this is free — spilled levels serve
 // reads through their mappings. Without one, spilled levels have no
-// blocks at all, so everything is unspilled.
+// blocks at all, so everything is unspilled. Every walk starts here, so
+// this is also where a walk on a closed kernel panics.
 func (k *Kernel) ensureReadable() {
+	k.checkOpen()
 	if spill.MmapEnabled {
 		return
 	}

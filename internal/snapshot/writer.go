@@ -26,43 +26,25 @@ type Options struct {
 // physical layout and the root list: snapshotting the same manager twice
 // yields identical bytes.
 func Write(w io.Writer, st *node.Store, var2level []int, roots []Root, opts Options) error {
-	W, L := st.Workers(), st.Levels()
+	L := st.Levels()
 	if len(var2level) != L {
 		return fmt.Errorf("snapshot: var2level has %d entries for %d levels", len(var2level), L)
 	}
 
-	// Phase 1: mark the subgraph reachable from the roots. seq holds one
-	// slot per node of each (worker, level) arena, allocated lazily so
-	// untouched arenas cost nothing; a slot is 0 until its node is marked.
-	seq := make([][][]uint32, W)
-	for wk := range seq {
-		seq[wk] = make([][]uint32, L)
-	}
-	var stack []node.Ref
+	// Phase 1: mark the subgraph reachable from the roots with a level
+	// sweep, the way the collector marks. A slot is 0 until its node is
+	// marked.
+	refs := make([]node.Ref, len(roots))
 	for i, rt := range roots {
 		if !rt.Ref.Valid() {
 			return fmt.Errorf("snapshot: root %d has invalid ref %v", i, rt.Ref)
 		}
-		stack = append(stack, rt.Ref)
+		refs[i] = rt.Ref
 	}
+	seq := node.NewTable[uint32](st)
 	var total uint64
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if r.IsTerminal() {
-			continue
-		}
-		sq := &seq[r.Worker()][r.Level()]
-		if *sq == nil {
-			*sq = make([]uint32, st.Arena(r.Worker(), r.Level()).Len())
-		}
-		if (*sq)[r.Index()] != 0 {
-			continue
-		}
-		(*sq)[r.Index()] = 1
-		total++
-		nd := st.Node(r)
-		stack = append(stack, nd.Low, nd.High)
+	if err := seq.Reach(refs, 1, func(node.Ref) { total++ }); err != nil {
+		return fmt.Errorf("snapshot: %w", err)
 	}
 	enc, err := format.NewEncoder(w, var2level, len(roots), total, opts.RawRefs)
 	if err != nil {
@@ -81,21 +63,16 @@ func Write(w io.Writer, st *node.Store, var2level []int, roots []Root, opts Opti
 		case r.IsOne():
 			return levelfmt.One
 		}
-		return uint64(seq[r.Worker()][r.Level()][r.Index()] - 1)
+		return uint64(seq.Get(r) - 1)
 	}
 	var next uint32
 	for lvl := L - 1; lvl >= 0; lvl-- {
-		for wk, sqs := range seq {
-			a := st.Arena(wk, lvl)
-			for i, s := range sqs[lvl] {
-				if s != 0 {
-					next++
-					sqs[lvl][i] = next
-					nd := a.At(uint64(i))
-					enc.Node(lvl, code(nd.Low), code(nd.High))
-				}
-			}
-		}
+		seq.Sweep(lvl, func(r node.Ref, s *uint32) {
+			next++
+			*s = next
+			nd := st.Node(r)
+			enc.Node(lvl, code(nd.Low), code(nd.High))
+		})
 	}
 	lroots := make([]levelfmt.Root, len(roots))
 	for i, rt := range roots {
