@@ -100,19 +100,8 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -gc %q", *gcPolicy))
 	}
-	switch *orderFlag {
-	case "dfs":
-		base.Order = order.DFS
-	case "identity":
-		base.Order = order.Identity
-	case "interleave":
-		base.Order = order.Interleave
-	case "reverse":
-		base.Order = order.Reverse
-	case "shuffle":
-		base.Order = order.Shuffle
-	default:
-		fatal(fmt.Errorf("unknown -order %q", *orderFlag))
+	if base.Order, err = order.ParseMethod(*orderFlag); err != nil {
+		fatal(err)
 	}
 
 	fmt.Fprintf(out, "bfbdd-bench: reproducing Yang & O'Hallaron (PPoPP 1997)\n")

@@ -1,18 +1,24 @@
-// Command bfbdd is the offline toolkit for the files bfbdd leaves on
-// disk: snapshot streams (Manager.Snapshot, the server's checkpoints,
+// Command bfbdd is the offline toolkit. It builds circuits into BDDs,
+// checks two circuits for equivalence, and runs the cross-engine
+// differential oracle. It also inspects the files bfbdd leaves on disk:
+// snapshot streams (Manager.Snapshot, the server's checkpoints,
 // POST /v1/sessions/{sid}/snapshot), compiled function artifacts
 // (Manager.Compile, GET /v1/funcs/{id}/download, the server's funcs/
 // directory), write-ahead-log directories (the server's wal/ subtree),
 // and build traces exported by GET /v1/debug/traces/{id}.
 //
+//	bfbdd circuit (-circuit name | -bench file.bench) [flags]
+//	bfbdd verify -spec a -impl b [flags]
+//	bfbdd oracle [flags] | bfbdd oracle -replay file
 //	bfbdd snap info|verify|repack|dot ...
 //	bfbdd func build|info|eval|satcount|anysat ...
 //	bfbdd wal info|verify|replay|export ...
 //	bfbdd trace [-q] [file ...]
 //
-// The verify verbs print one machine-readable JSON verdict line on
-// stdout. The exit status is 0 on success, 1 on a failure or an ok:false
-// verdict, and 2 on a usage error.
+// The verify verbs of snap and wal print one machine-readable JSON
+// verdict line on stdout. The exit status is 0 on success, 1 on a
+// failure, an ok:false verdict, a circuit that is not equivalent or an
+// oracle divergence, and 2 on a usage error.
 package main
 
 import (
@@ -29,6 +35,19 @@ import (
 )
 
 const usageText = `usage:
+  bfbdd circuit (-circuit name | -bench file.bench) [-engine e] [-workers n] [-order m]
+                [-threshold n] [-sat] [-dot out.dot] [-write out.bench]
+                                         build one BDD per output; sizes and statistics
+  bfbdd verify -spec a -impl b [-engine e] [-workers n] [-order m] [-max-cex n]
+                                         equivalence check of two circuits (.bench file or
+                                         built-in name); counterexamples, exit 1 if they differ
+  bfbdd oracle [-seed n] [-seqs n] [-vars n] [-ops n] [-par n] [-engines list] [-out dir]
+               [-shrink=false] [-shrink-budget n] [-max-failures n] [-v]
+                                         differential fuzzing of every engine; exit 1 on a divergence
+  bfbdd oracle -replay file              re-run a recorded divergence
+
+  engines: df, bf, hybrid, pbf, par; orders: dfs, identity, interleave, reverse, shuffle
+
   bfbdd snap info   file.snap            inspect header and per-level histogram
   bfbdd snap verify file.snap            full restore; JSON verdict, nonzero exit on corruption
   bfbdd snap repack -o out.snap [-raw] file.snap
@@ -50,11 +69,16 @@ const usageText = `usage:
 
   bfbdd trace [-q] [file ...]            validate and print exported traces (stdin without files)
 
-exit status: 0 ok, 1 failure or ok:false verdict, 2 usage error
+exit status: 0 ok, 1 failure or negative verdict, 2 usage error
 `
 
 // A command runs one verb on the arguments that follow it.
 type command func(c *cli, args []string) error
+
+// verbs take their arguments directly; tools group verbs under a noun.
+var verbs = map[string]command{
+	"circuit": circuitRun, "verify": verifyRun, "oracle": oracleRun, "trace": traceRun,
+}
 
 var tools = map[string]map[string]command{
 	"snap": {"info": snapInfo, "verify": snapVerify, "repack": snapRepack, "dot": snapDot},
@@ -112,17 +136,18 @@ func dispatch(c *cli, args []string) error {
 	switch args[0] {
 	case "-h", "-help", "--help":
 		return flag.ErrHelp
-	case "trace":
-		return traceRun(c, args[1:])
 	}
-	verbs, ok := tools[args[0]]
+	if cmd, ok := verbs[args[0]]; ok {
+		return cmd(c, args[1:])
+	}
+	tool, ok := tools[args[0]]
 	if !ok {
 		return usagef("unknown command %q", args[0])
 	}
 	if len(args) < 2 {
 		return usagef("%s needs a verb", args[0])
 	}
-	cmd, ok := verbs[args[1]]
+	cmd, ok := tool[args[1]]
 	if !ok {
 		return usagef("unknown command %q", args[0]+" "+args[1])
 	}

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"bfbdd"
+	"bfbdd/internal/netlist"
 	"bfbdd/internal/trace"
 	"bfbdd/internal/wal"
 )
@@ -29,8 +31,20 @@ const golden = "../../testdata/golden/"
 //	traces.json   two valid exported traces, concatenated
 //	bad.json      a trace whose span ids are not dense
 //	empty.json    no traces at all
+//	adder-8-fault.bench
+//	              the built-in adder-8 with one gate stuck at 0
 func genInputs(t testing.TB, dir string) {
 	t.Helper()
+	faulty, _, err := netlist.InjectFault(netlist.RippleAdder(8), netlist.FaultStuckAt0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench bytes.Buffer
+	if err := netlist.Write(&bench, faulty); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, filepath.Join(dir, "adder-8-fault.bench"), bench.Bytes())
+
 	writeSession(t, filepath.Join(dir, "wal"), "s-a", 0, [][]wal.Record{
 		{
 			wal.CreateRec{Options: []byte(`{"vars":4,"engine":"par","workers":2}`)},
@@ -240,20 +254,46 @@ var verbCases = []struct {
 	{"trace-invalid", "trace -q $TMP/traces.json $TMP/bad.json"},
 	{"trace-empty", "trace $TMP/empty.json"},
 	{"trace-missing", "trace $TMP/no-such.json"},
+	{"circuit-sat", "circuit -circuit adder-4 -sat"},
+	{"circuit-bench", "circuit -bench $TMP/adder-8-fault.bench -order interleave"},
+	{"circuit-unknown-engine", "circuit -circuit adder-4 -engine nope"},
+	{"circuit-unknown-order", "circuit -circuit adder-4 -order nope"},
+	{"verify-equivalent", "verify -spec adder-16 -impl cla-16"},
+	{"verify-fault", "verify -spec adder-8 -impl $TMP/adder-8-fault.bench -max-cex 2"},
+	{"verify-missing-spec", "verify -impl cla-16"},
+	{"verify-unknown-engine", "verify -spec adder-4 -impl cla-4 -engine nope"},
+	{"verify-unknown-order", "verify -spec adder-4 -impl cla-4 -order nope"},
+	{"verify-unknown-circuit", "verify -spec nope-4 -impl cla-4"},
+	{"oracle", "oracle -seed 7 -seqs 20"},
+	{"oracle-replay-missing", "oracle -replay $TMP/no-such.json"},
+	{"oracle-bad-vars", "oracle -vars 99"},
 }
+
+// timedVerbs print wall-clock times, which TestVerbs masks.
+var timedVerbs = map[string]bool{"circuit": true, "verify": true, "oracle": true}
+
+// duration matches a Go time.Duration string such as 0s, 12ms or 1m2.5s.
+var duration = regexp.MustCompile(`\b(\d+(\.\d+)?(ns|µs|us|ms|s|m|h))+\b`)
 
 // TestVerbs runs every verb in-process and compares its exit status and
 // stdout with testdata/<case>.golden, which holds "exit: N" and then the
-// stdout of the four single-purpose tools this command replaced, run on
+// stdout of the seven single-purpose tools this command replaced, run on
 // the same inputs. The corrupt cases pin the contract CI gates rely on:
-// a one-line ok:false verdict and exit 1.
+// a one-line ok:false verdict and exit 1. Where the tools disagreed on
+// exit codes, the goldens hold this command's: an unknown -engine or
+// -order is a usage error (2), and a circuit or replay file that cannot
+// be read is a failure (1).
 func TestVerbs(t *testing.T) {
 	tmp := t.TempDir()
 	genInputs(t, tmp)
 	for _, tc := range verbCases {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(strings.ReplaceAll(tc.args, "$TMP", tmp)), &stdout, &stderr)
-		got := fmt.Sprintf("exit: %d\n%s", code, strings.ReplaceAll(stdout.String(), tmp, "$TMP"))
+		out := strings.ReplaceAll(stdout.String(), tmp, "$TMP")
+		if timedVerbs[strings.Fields(tc.args)[0]] {
+			out = duration.ReplaceAllString(out, "<dur>")
+		}
+		got := fmt.Sprintf("exit: %d\n%s", code, out)
 		want, err := os.ReadFile(filepath.Join("testdata", tc.name+".golden"))
 		if err != nil {
 			t.Fatal(err)
@@ -322,6 +362,13 @@ func TestUsageErrors(t *testing.T) {
 		{"wal", "replay", "dir"},
 		{"wal", "export"},
 		{"trace", "-x"},
+		{"circuit"},
+		{"circuit", "-circuit", "adder-4", "-bench", "a.bench"},
+		{"circuit", "-circuit", "adder-4", "extra"},
+		{"verify", "-spec", "adder-4"},
+		{"verify", "-spec", "adder-4", "-impl", "cla-4", "-max-cex"},
+		{"oracle", "-seqs", "0"},
+		{"oracle", "-engines", "nope"},
 	} {
 		stdout, stderr, code := runTool(args...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, "usage:") {
@@ -347,5 +394,90 @@ func TestTraceStdin(t *testing.T) {
 	defer func() { stdin = os.Stdin }()
 	if stdout, stderr, code := runTool("trace", "-q"); code != 0 || stdout != "stdin: 2 trace(s) valid\n" {
 		t.Errorf("trace -q on stdin: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+}
+
+// TestCircuitWriteRoundTrip re-reads a circuit that circuit -write
+// emitted: the .bench file must build the same BDDs. Only the circuit's
+// name and the names netlist.Write gives unnamed outputs differ.
+func TestCircuitWriteRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "a.bench")
+	written, stderr, code := runTool("circuit", "-circuit", "adder-8", "-write", path)
+	if code != 0 {
+		t.Fatalf("circuit -write: exit %d\n%s", code, stderr)
+	}
+	reread, stderr, code := runTool("circuit", "-bench", path)
+	if code != 0 {
+		t.Fatalf("circuit -bench: exit %d\n%s", code, stderr)
+	}
+	want, got := circuitReport(t, written), circuitReport(t, reread)
+	if len(got) != len(want) {
+		t.Fatalf("circuit -bench printed %d lines, want %d:\n%s", len(got), len(want), reread)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("line %d: got %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// circuitReport returns circuit's stdout lines without the wrote lines
+// and the circuit name, with durations masked and each output line's
+// name dropped.
+func circuitReport(t *testing.T, stdout string) []string {
+	t.Helper()
+	var lines []string
+	for _, l := range strings.Split(duration.ReplaceAllString(stdout, "<dur>"), "\n") {
+		switch {
+		case strings.HasPrefix(l, "wrote "):
+			continue
+		case strings.HasPrefix(l, "circuit "):
+			_, l, _ = strings.Cut(l, ": ")
+		case strings.HasPrefix(l, "  "):
+			l = strings.Join(strings.Fields(l)[1:], " ")
+		}
+		lines = append(lines, l)
+	}
+	if len(lines) < 3 {
+		t.Fatalf("short circuit report:\n%s", stdout)
+	}
+	return lines
+}
+
+// TestCircuitDOTEngines checks that circuit -dot renders through the
+// library's deterministic renderer: the parallel and the sequential
+// engine build the same diagrams, so their DOT files must be identical.
+// mult-8 is large enough that the parallel engine's nodes land in both
+// workers' arenas.
+func TestCircuitDOTEngines(t *testing.T) {
+	tmp := t.TempDir()
+	par, pbf := filepath.Join(tmp, "par.dot"), filepath.Join(tmp, "pbf.dot")
+	for _, args := range [][]string{
+		{"circuit", "-circuit", "mult-8", "-engine", "par", "-workers", "2", "-dot", par},
+		{"circuit", "-circuit", "mult-8", "-engine", "pbf", "-dot", pbf},
+	} {
+		if stdout, stderr, code := runTool(args...); code != 0 || !strings.HasSuffix(stdout, "wrote "+args[len(args)-1]+"\n") {
+			t.Fatalf("bfbdd %s: exit %d\n%s%s", strings.Join(args, " "), code, stdout, stderr)
+		}
+	}
+	a, err := os.ReadFile(par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(pbf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		al, bl := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
+		for i := 0; i < len(al) && i < len(bl); i++ {
+			if al[i] != bl[i] {
+				t.Fatalf("par and pbf DOT differ at line %d: %q vs %q", i+1, al[i], bl[i])
+			}
+		}
+		t.Fatalf("par and pbf DOT differ in length: %d vs %d lines", len(al), len(bl))
+	}
+	if !bytes.HasPrefix(a, []byte("digraph bdd {\n")) || !bytes.Contains(a, []byte(`r0 [label="out0", shape=plaintext];`)) {
+		t.Errorf("unexpected DOT:\n%s", a)
 	}
 }

@@ -1,7 +1,6 @@
 package bfbdd
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 
@@ -23,73 +22,12 @@ func WriteDOT(w io.Writer, names []string, bdds ...*BDD) error {
 		return fmt.Errorf("bfbdd: WriteDOT needs at least one BDD")
 	}
 	m := bdds[0].m
-	for _, b := range bdds {
+	roots := make([]node.Ref, len(bdds))
+	for i, b := range bdds {
 		if b.m != m {
 			return fmt.Errorf("bfbdd: WriteDOT across managers")
 		}
+		roots[i] = b.ref()
 	}
-	m.k.EnsureReadable() // the emitter traverses the store directly
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "digraph bdd {")
-	fmt.Fprintln(bw, "  rankdir=TB;")
-	fmt.Fprintln(bw, `  node [shape=circle];`)
-	fmt.Fprintln(bw, `  t0 [label="0", shape=box];`)
-	fmt.Fprintln(bw, `  t1 [label="1", shape=box];`)
-
-	// Each node's slot holds its sequence number plus one, assigned in
-	// first-reference order, and whether it was emitted; the physical
-	// (level, worker, index) identity never leaks into the output, where
-	// it would vary run to run under the parallel engine.
-	slots := node.NewTable[dotNode](m.k.Store())
-	next := uint32(0)
-	id := func(r node.Ref) string {
-		switch {
-		case r.IsZero():
-			return "t0"
-		case r.IsOne():
-			return "t1"
-		}
-		s := slots.At(r)
-		if s.id == 0 {
-			next++
-			s.id = next
-		}
-		return fmt.Sprintf("n%d", s.id-1)
-	}
-	var emit func(r node.Ref)
-	emit = func(r node.Ref) {
-		if r.IsTerminal() {
-			return
-		}
-		s := slots.At(r)
-		if s.emitted {
-			return
-		}
-		s.emitted = true
-		nd := m.k.Store().Node(r)
-		fmt.Fprintf(bw, "  %s [label=\"x%d\"];\n", id(r), m.level2var[r.Level()])
-		fmt.Fprintf(bw, "  %s -> %s [style=dashed];\n", id(r), id(nd.Low))
-		fmt.Fprintf(bw, "  %s -> %s;\n", id(r), id(nd.High))
-		emit(nd.Low)
-		emit(nd.High)
-	}
-	for i, b := range bdds {
-		label := fmt.Sprintf("f%d", i)
-		if i < len(names) && names[i] != "" {
-			label = names[i]
-		}
-		root := fmt.Sprintf("r%d", i)
-		fmt.Fprintf(bw, "  %s [label=%q, shape=plaintext];\n", root, label)
-		fmt.Fprintf(bw, "  %s -> %s;\n", root, id(b.ref()))
-		emit(b.ref())
-	}
-	fmt.Fprintln(bw, "}")
-	return bw.Flush()
-}
-
-// dotNode is WriteDOT's per-node state: the DOT sequence number plus one
-// (0 = not yet referenced) and whether the node's lines were written.
-type dotNode struct {
-	id      uint32
-	emitted bool
+	return m.k.WriteDOT(w, roots, names, m.level2var)
 }

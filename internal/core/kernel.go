@@ -46,6 +46,16 @@ func (e Engine) String() string {
 	return fmt.Sprintf("engine(%d)", int(e))
 }
 
+// ParseEngine returns the engine whose String is name.
+func ParseEngine(name string) (Engine, error) {
+	for e, s := range engineNames {
+		if s == name {
+			return e, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown engine %q", name)
+}
+
 // GCPolicy selects the garbage collection strategy (§3.4).
 type GCPolicy int
 

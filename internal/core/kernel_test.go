@@ -6,6 +6,21 @@ import (
 	"bfbdd/internal/node"
 )
 
+// TestParseEngine round-trips every engine through String and
+// ParseEngine, and rejects names no engine has.
+func TestParseEngine(t *testing.T) {
+	for e := EngineDF; e <= EnginePar; e++ {
+		if got, err := ParseEngine(e.String()); err != nil || got != e {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v", e.String(), got, err, e)
+		}
+	}
+	for _, name := range []string{"", "nope", "PBF", "engine(5)"} {
+		if e, err := ParseEngine(name); err == nil {
+			t.Errorf("ParseEngine(%q) = %v, want an error", name, e)
+		}
+	}
+}
+
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{Levels: 4}.withDefaults()
 	if o.Workers != 1 {

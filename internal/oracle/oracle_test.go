@@ -98,7 +98,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // TestRunSmoke executes generated sequences across the full engine
 // matrix and expects no divergence. Sizes are kept small so the test is
-// -race friendly; cmd/bfbdd-fuzz is the deep version.
+// -race friendly; `bfbdd oracle` (cmd/bfbdd) is the deep version.
 func TestRunSmoke(t *testing.T) {
 	engines := oracle.DefaultEngines()
 	seeds := []int64{1, 2, 3}

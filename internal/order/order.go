@@ -52,6 +52,16 @@ func (m Method) String() string {
 	return fmt.Sprintf("method(%d)", int(m))
 }
 
+// ParseMethod returns the method whose String is name.
+func ParseMethod(name string) (Method, error) {
+	for m := DFS; m <= Shuffle; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown order %q", name)
+}
+
 // Compute returns inputLevel: for each primary input (by position in
 // c.Inputs), the BDD variable level it is assigned. The result is always
 // a permutation of [0, NumInputs).

@@ -18,6 +18,21 @@ func isPermutation(t *testing.T, levels []int) {
 	}
 }
 
+// TestParseMethod round-trips every method through String and
+// ParseMethod, and rejects names no method has.
+func TestParseMethod(t *testing.T) {
+	for m := DFS; m <= Shuffle; m++ {
+		if got, err := ParseMethod(m.String()); err != nil || got != m {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, name := range []string{"", "nope", "DFS", "method(5)"} {
+		if m, err := ParseMethod(name); err == nil {
+			t.Errorf("ParseMethod(%q) = %v, want an error", name, m)
+		}
+	}
+}
+
 func TestAllMethodsArePermutations(t *testing.T) {
 	circuits := []*netlist.Circuit{
 		netlist.Multiplier(5),

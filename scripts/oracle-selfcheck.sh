@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Mutation-test the differential oracle: build bfbdd-fuzz with a known
+# Mutation-test the differential oracle: build bfbdd with a known
 # kernel bug planted behind the `oraclebug` build tag (Diff(f, f)
 # returns One instead of Zero — see internal/core/oraclebug_on.go) and
 # require that the oracle (a) detects it, (b) shrinks the failing
@@ -17,12 +17,12 @@ MAX_SHRUNK_OPS=8
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
 
-echo "oracle-selfcheck: building bfbdd-fuzz with the planted kernel bug"
-go build -tags oraclebug -o "$DIR/fuzz-buggy" ./cmd/bfbdd-fuzz
-go build -o "$DIR/fuzz-clean" ./cmd/bfbdd-fuzz
+echo "oracle-selfcheck: building bfbdd with the planted kernel bug"
+go build -tags oraclebug -o "$DIR/bfbdd-buggy" ./cmd/bfbdd
+go build -o "$DIR/bfbdd-clean" ./cmd/bfbdd
 
 echo "oracle-selfcheck: fuzzing the buggy build (must detect a divergence)"
-if "$DIR/fuzz-buggy" -seed "$SEED" -seqs "$SEQS" -vars "$VARS" -ops "$OPS" \
+if "$DIR/bfbdd-buggy" oracle -seed "$SEED" -seqs "$SEQS" -vars "$VARS" -ops "$OPS" \
     -out "$DIR" >"$DIR/buggy.log" 2>&1; then
   echo "oracle-selfcheck: FAIL — oracle did not detect the planted bug" >&2
   cat "$DIR/buggy.log" >&2
@@ -56,9 +56,9 @@ grep -q "TestOracleRegression" "$REPLAY" || {
 }
 
 echo "oracle-selfcheck: verifying the replay reproduces under the buggy build"
-"$DIR/fuzz-buggy" -replay "$REPLAY"
+"$DIR/bfbdd-buggy" oracle -replay "$REPLAY"
 
 echo "oracle-selfcheck: fuzzing a clean build on the same seeds (must pass)"
-"$DIR/fuzz-clean" -seed "$SEED" -seqs "$SEQS" -vars "$VARS" -ops "$OPS" -out "$DIR"
+"$DIR/bfbdd-clean" oracle -seed "$SEED" -seqs "$SEQS" -vars "$VARS" -ops "$OPS" -out "$DIR"
 
 echo "oracle-selfcheck: OK"
