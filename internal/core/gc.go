@@ -68,8 +68,9 @@ func markBit(st *node.Store, r node.Ref) {
 // every live external BDD protected in the root registry.
 func (k *Kernel) GC() {
 	// Collection mutates arenas (compaction replaces them; the free-list
-	// sweep writes Next fields), so every spilled level must come home
-	// first. Quiescent here, so retired mappings can be released too.
+	// sweep threads freed slots through their Low fields), so every
+	// spilled level must come home first. Quiescent here, so retired
+	// mappings can be released too.
 	k.ensureAllResident("GC")
 	t0 := time.Now()
 	// Phase-time snapshot for the gc span of a traced build: the delta
@@ -195,7 +196,6 @@ func (k *Kernel) gcCompact() {
 					nd := na.At(i)
 					nd.Low = forward(fwd, nd.Low)
 					nd.High = forward(fwd, nd.High)
-					nd.Next = node.Nil
 				}
 			}
 			wk.st.AddPhase(stats.PhaseGCFix, time.Since(tFix))

@@ -208,7 +208,7 @@ type Kernel struct {
 	// configured EvalThreshold normally, lowered under memory pressure
 	// (the paper's partial-BF memory knob, §3.1). Read by every expand.
 	effThreshold atomic.Int64
-	// overheadBytes caches the cache+table byte estimate from the last
+	// overheadBytes caches the cache+table bytes from the last
 	// sampleMemory, so the mid-build budget poll avoids recomputing it.
 	overheadBytes atomic.Uint64
 	// budget is the resource-governance state (see budget.go).
@@ -293,7 +293,7 @@ func (k *Kernel) mkNode(worker, level int, low, high node.Ref) node.Ref {
 	if low == high {
 		return low
 	}
-	k.pinLevel(level) // FindOrAdd allocates and rewrites Next chains
+	k.pinLevel(level) // FindOrAdd may allocate into this level's arena
 	t := &k.tables[level]
 	if k.opts.Locking {
 		t.Lock()
@@ -418,12 +418,9 @@ func (k *Kernel) sampleMemory() {
 		opB += w.opBytes()
 		cacheB += w.cache.Bytes()
 	}
-	// Bucket arrays: 8 bytes per bucket; approximate via counts (load
-	// factor ≤ 2 ⇒ buckets ≥ count/2). Exact bucket length is private to
-	// the table; the estimate is within 2× and consistent across runs.
 	var tableB uint64
 	for i := range k.tables {
-		tableB += (k.tables[i].Count() / 2) * 8
+		tableB += k.tables[i].Bytes()
 	}
 	k.overheadBytes.Store(cacheB + tableB)
 	// Node bytes are the resident (heap) footprint: spilled levels live

@@ -111,6 +111,24 @@ func TestMemorySampling(t *testing.T) {
 	}
 }
 
+func TestMemoryTableBytesExact(t *testing.T) {
+	for _, eng := range []Engine{EnginePBF, EnginePar} {
+		k := NewKernel(Options{Levels: 10, Engine: eng, Workers: 2})
+		f := node.Zero
+		for v := 0; v+1 < 10; v += 2 {
+			f = k.Apply(OpOr, f, k.Apply(OpAnd, k.VarRef(v), k.VarRef(v+1)))
+		}
+		var want uint64
+		for lvl := 0; lvl < k.Levels(); lvl++ {
+			want += k.Table(lvl).Bytes()
+		}
+		if got := k.Memory().TableBytes; got != want || want == 0 {
+			t.Fatalf("%v: Memory().TableBytes = %d, want the tables' %d", eng, got, want)
+		}
+		k.Close()
+	}
+}
+
 func TestApplyPanicsOnBadInput(t *testing.T) {
 	k := NewKernel(Options{Levels: 2, Engine: EngineDF})
 	for name, fn := range map[string]func(){

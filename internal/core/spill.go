@@ -23,8 +23,8 @@ import (
 //     pinLevel first, which unspills that one level. The fast path is
 //     two atomic loads and costs nothing while no level is spilled.
 //   - GC and reordering run fully resident: compaction replaces
-//     arenas and the free-list sweep writes Next fields, so both
-//     unspill everything first (ensureAllResident).
+//     arenas and the free-list sweep writes freed slots' Low fields,
+//     so both unspill everything first (ensureAllResident).
 //   - Read paths on mmap platforms need nothing: a spilled level
 //     resolves refs through the mapping and the OS faults pages in.
 //     On other platforms every read entry calls ensureReadable, which

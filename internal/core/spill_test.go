@@ -88,7 +88,7 @@ func TestKernelSpillThenGC(t *testing.T) {
 			t.Fatal(err)
 		}
 		// GC must unspill everything first (compaction replaces arenas,
-		// the free-list sweep writes Next fields).
+		// the free-list sweep writes freed slots' Low fields).
 		k.GC()
 		if got := k.SpillStats().SpilledBytes; got != 0 {
 			t.Fatalf("%v: spilled bytes after GC = %d, want 0", policy, got)

@@ -3,16 +3,14 @@ package node
 import "sync/atomic"
 
 // Node is one BDD internal vertex. Low is the 0-branch child and High the
-// 1-branch child. Next chains nodes of the same unique-table bucket; the
-// chain may cross worker arenas because the unique table for a variable is
-// shared among all workers while node storage is per worker.
+// 1-branch child. The unique tables keep their own slot arrays, so a node
+// carries no link field.
 //
 // The node deliberately carries no variable field: a node's variable is
 // implied by the arena (and thus the Ref) that holds it, which is how the
 // paper's per-variable node managers cluster same-variable nodes.
 type Node struct {
 	Low, High Ref
-	Next      Ref
 }
 
 const (
@@ -25,7 +23,7 @@ const (
 
 // NodeBytes is the in-memory footprint of one Node, used for the memory
 // accounting that reproduces the paper's Figure 9/10.
-const NodeBytes = 24
+const NodeBytes = 16
 
 // Arena is a block-structured allocator for the nodes of one
 // (worker, variable) pair. Nodes are allocated contiguously within blocks
@@ -54,7 +52,7 @@ type Arena struct {
 
 	// free is the head of the free list (index+1, 0 = empty) used by the
 	// non-compacting free-list GC policy. Freed slots chain through the
-	// Next field, reinterpreted as an index+1 value.
+	// Low field, reinterpreted as an index+1 value.
 	free uint64
 
 	// nFree counts slots currently on the free list.
@@ -139,9 +137,9 @@ func (a *Arena) At(i uint64) *Node {
 	return &a.loadBlocks()[i>>BlockShift][i&blockMask]
 }
 
-// Alloc allocates a new node slot initialized to (low, high, Nil) and
-// returns its index. If the free-list has entries they are reused first.
-// Only the owning worker may call Alloc.
+// Alloc allocates a new node slot initialized to (low, high) and returns
+// its index. If the free-list has entries they are reused first. Only the
+// owning worker may call Alloc.
 func (a *Arena) Alloc(low, high Ref) uint64 {
 	if a.mapped.Load() {
 		panic("node: allocation into mapped (spilled) arena")
@@ -149,9 +147,9 @@ func (a *Arena) Alloc(low, high Ref) uint64 {
 	if a.free != 0 {
 		i := a.free - 1
 		nd := a.At(i)
-		a.free = uint64(nd.Next)
+		a.free = uint64(nd.Low)
 		a.nFree--
-		nd.Low, nd.High, nd.Next = low, high, Nil
+		nd.Low, nd.High = low, high
 		return i
 	}
 	i := a.n
@@ -167,20 +165,20 @@ func (a *Arena) Alloc(low, high Ref) uint64 {
 	}
 	a.n++
 	nd := &bs[i>>BlockShift][i&blockMask]
-	nd.Low, nd.High, nd.Next = low, high, Nil
+	nd.Low, nd.High = low, high
 	return i
 }
 
 // Free pushes slot i onto the free list (free-list GC policy only). The
-// slot's fields are overwritten; callers must have already unlinked the
-// node from its unique table.
+// slot's fields are overwritten: Low holds the next free slot (index+1)
+// and High is Nil. Callers must have already removed the node from its
+// unique table.
 func (a *Arena) Free(i uint64) {
 	if a.mapped.Load() {
 		panic("node: free into mapped (spilled) arena")
 	}
 	nd := a.At(i)
-	nd.Low, nd.High = Nil, Nil
-	nd.Next = Ref(a.free)
+	nd.Low, nd.High = Ref(a.free), Nil
 	a.free = i + 1
 	a.nFree++
 }

@@ -52,8 +52,9 @@ const (
 	One  Ref = Ref(TermLevel)<<levelShift | 1
 )
 
-// Nil is an invalid sentinel Ref used to terminate unique-table hash
-// chains. Its bit 63 is set, so it can never collide with a valid Ref.
+// Nil is an invalid sentinel Ref: "no node", for results not yet known
+// and for the High field of a freed arena slot. Its bit 63 is set, so it
+// can never collide with a valid Ref.
 const Nil Ref = ^Ref(0)
 
 // MakeRef packs (level, worker, index) into a Ref.

@@ -4,7 +4,17 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// The spill tier reinterprets node blocks as bytes through unsafe, and
+// the memory accounting counts NodeBytes per node: both need the constant
+// to be the struct's real size.
+func TestNodeBytesIsNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != NodeBytes {
+		t.Fatalf("unsafe.Sizeof(Node{}) = %d, NodeBytes = %d", got, NodeBytes)
+	}
+}
 
 func TestRefPackUnpack(t *testing.T) {
 	cases := []struct {
@@ -111,7 +121,7 @@ func TestArenaAllocAt(t *testing.T) {
 	}
 	for i := uint64(0); i < n; i++ {
 		nd := a.At(i)
-		if nd.Low != Zero || nd.High != One || nd.Next != Nil {
+		if nd.Low != Zero || nd.High != One {
 			t.Fatalf("node %d = %+v", i, *nd)
 		}
 	}
@@ -145,7 +155,7 @@ func TestArenaFreeListReuse(t *testing.T) {
 		t.Fatalf("Live=%d Len=%d", a.Live(), a.Len())
 	}
 	nd := a.At(7)
-	if nd.Low != One || nd.High != Zero || nd.Next != Nil {
+	if nd.Low != One || nd.High != Zero {
 		t.Fatalf("reused node = %+v", *nd)
 	}
 }

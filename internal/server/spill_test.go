@@ -124,10 +124,12 @@ func TestServerIdleSpill(t *testing.T) {
 // session — resident or spilled — must still answer applies and evals
 // with oracle-verified results.
 func TestServerResidentCapAcceptance(t *testing.T) {
+	// The cap is stated in blocks so the workload (sessions × vars
+	// blocks) stays about 2.26× the cap whatever a node's size.
 	const (
 		sessions = 8
 		vars     = 24
-		capBytes = 8 << 20
+		capBytes = 85 * blockBytes
 	)
 	_, ts := testServer(t, Config{
 		SpillDir:         t.TempDir(),

@@ -8,6 +8,15 @@ import (
 	"bfbdd/internal/node"
 )
 
+// Blocks are mapped straight into arena block tables, so each must start
+// on a page boundary: the header is padded to a page multiple, and the
+// block size must be one too.
+func TestBlockBytesIsPageMultiple(t *testing.T) {
+	if blockBytes%pageSize != 0 {
+		t.Fatalf("blockBytes = %d: not a multiple of the %d-byte page", blockBytes, pageSize)
+	}
+}
+
 // fillLevel allocates count nodes at (worker, level) with deterministic
 // payloads and returns the refs.
 func fillLevel(st *node.Store, worker, level, count int) []node.Ref {

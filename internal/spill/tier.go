@@ -18,7 +18,7 @@
 // format; snapshots remain the durable format, and stale spill files
 // are wiped on Open.
 //
-// Each block is BlockSize*NodeBytes = 98304 bytes = 24 OS pages, and
+// Each block is BlockSize*NodeBytes = 65536 bytes = 16 OS pages, and
 // the header is padded to a page multiple, so every block in the file
 // is page-aligned — a requirement for handing mmap'd subslices to the
 // arena block table.
@@ -54,7 +54,7 @@ const (
 	magic      = "BFBDSPL1"
 	version    = 1
 	pageSize   = 4096
-	blockBytes = node.BlockSize * node.NodeBytes // 98304, a page multiple
+	blockBytes = node.BlockSize * node.NodeBytes // 65536, a page multiple
 	segSize    = 32                              // per-worker segment table entry
 	fixedHdr   = 48                              // bytes before the segment table
 )
@@ -205,7 +205,7 @@ func headerLen(workers int) uint64 {
 }
 
 // nodesAsBytes reinterprets a block's node slice as its raw byte image.
-// Node is three uint64 fields with no padding (NodeBytes == 24), so the
+// Node is two uint64 fields with no padding (NodeBytes == 16), so the
 // image is exactly the in-memory representation.
 func nodesAsBytes(b []Node) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&b[0])), len(b)*node.NodeBytes)

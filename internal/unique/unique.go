@@ -14,10 +14,12 @@ import (
 	"bfbdd/internal/node"
 )
 
-// hashRef mixes a pair of child refs into a bucket hash. The paper notes
+// hashRef mixes a pair of child refs into a 64-bit hash. The paper notes
 // the hash function depends on the location of a node's children, which is
 // why compaction forces the rehash phase of garbage collection; packed
 // refs have the same property since a child's index changes when it moves.
+// A table takes its home slot from the low bits and its fingerprint from
+// the top 16.
 func hashRef(low, high node.Ref) uint64 {
 	h := uint64(low)*0x9E3779B97F4A7C15 ^ uint64(high)*0xC2B2AE3D27D4EB4F
 	h ^= h >> 29
@@ -26,20 +28,48 @@ func hashRef(low, high node.Ref) uint64 {
 	return h
 }
 
-const initialBuckets = 64
+// A slot is one uint64: fingerprint(16) | worker(8) | index(40). The low
+// 48 bits sit exactly where a node.Ref keeps its worker and index, so a
+// slot decodes to a Ref by OR-ing in the table's level bits. The
+// fingerprint is never zero, so the zero slot means empty.
+const (
+	fpShift = 48
+	refMask = 1<<fpShift - 1
 
-// Table is the unique table for one variable level. Buckets hold the head
-// Ref of a chain linked through Node.Next; chains may traverse the arenas
-// of several workers.
+	minSlots = 64
+)
+
+// fingerprint returns h's top 16 bits in slot position, mapping 0 to 1 so
+// that no occupied slot is zero.
+func fingerprint(h uint64) uint64 {
+	fp := h >> fpShift
+	if fp == 0 {
+		fp = 1
+	}
+	return fp << fpShift
+}
+
+// Table is the unique table for one variable level: an open-addressed
+// array of slots with linear probing, kept at most 3/4 full. A probe
+// reads a node from the arena only when the slot's fingerprint matches
+// the key's, so a miss costs a cache line or two of slots rather than one
+// arena read per entry. Entries may live in the arenas of several
+// workers.
 //
 // All mutating access (FindOrAdd, RemoveUnmarked, ResetBuckets, Insert)
 // requires holding the table's lock via Lock/Unlock, except where a phase
-// barrier already guarantees exclusivity (noted per method).
+// barrier already guarantees exclusivity (noted per method). The zero
+// Table is empty and ready to use.
 type Table struct {
 	mu sync.Mutex
 
-	buckets []node.Ref
-	count   uint64
+	slots []uint64
+	count uint64
+	// level holds the level bits of every ref in the table (a Ref with
+	// worker and index 0). FindOrAdd and Insert both set it, so a table
+	// whose first entries come from a collector's rehash decodes them
+	// correctly too.
+	level node.Ref
 
 	// maxCount tracks the high-water node count for this variable,
 	// reproducing the paper's Figure 15 (max BDD nodes per variable).
@@ -85,6 +115,10 @@ func (t *Table) Count() uint64 { return t.count }
 // MaxCount returns the high-water node count for this variable.
 func (t *Table) MaxCount() uint64 { return t.maxCount }
 
+// Bytes returns the memory footprint of the slot array. Callers should
+// hold the lock or be at a barrier.
+func (t *Table) Bytes() uint64 { return uint64(len(t.slots)) * 8 }
+
 // Hits and Misses return FindOrAdd outcome counters.
 func (t *Table) Hits() uint64   { return t.hits }
 func (t *Table) Misses() uint64 { return t.misses }
@@ -96,27 +130,32 @@ func (t *Table) Misses() uint64 { return t.misses }
 // Under -tags=faultinject it panics a *faultinject.Error when the
 // unique-add or arena-alloc point is armed, modeling insert/allocation
 // failure; callers (the kernel) unwind it through their abort machinery
-// and must therefore release the table lock via defer.
+// and must therefore release the table lock via defer. The slot is
+// written only after the allocation returns, so such a panic leaves the
+// table unchanged.
 func (t *Table) FindOrAdd(st *node.Store, w, level int, low, high node.Ref) node.Ref {
 	if faultinject.Enabled {
 		if err := faultinject.Check(faultinject.UniqueAdd); err != nil {
 			panic(err)
 		}
 	}
-	if t.buckets == nil {
-		t.buckets = make([]node.Ref, initialBuckets)
-		for i := range t.buckets {
-			t.buckets[i] = node.Nil
-		}
+	t.level = node.MakeRef(level, 0, 0)
+	if len(t.slots) == 0 {
+		t.slots = make([]uint64, minSlots)
 	}
-	b := hashRef(low, high) & uint64(len(t.buckets)-1)
-	for r := t.buckets[b]; r != node.Nil; {
-		nd := st.Node(r)
-		if nd.Low == low && nd.High == high {
-			t.hits++
-			return r
+	h := hashRef(low, high)
+	fp := fingerprint(h)
+	mask := uint64(len(t.slots) - 1)
+	i := h & mask
+	for s := t.slots[i]; s != 0; s = t.slots[i] {
+		if s&^refMask == fp {
+			r := t.level | node.Ref(s&refMask)
+			if nd := st.Node(r); nd.Low == low && nd.High == high {
+				t.hits++
+				return r
+			}
 		}
-		r = nd.Next
+		i = (i + 1) & mask
 	}
 	t.misses++
 	if faultinject.Enabled {
@@ -127,103 +166,88 @@ func (t *Table) FindOrAdd(st *node.Store, w, level int, low, high node.Ref) node
 	idx := st.Arena(w, level).Alloc(low, high)
 	st.NoteAlloc(w)
 	r := node.MakeRef(level, w, idx)
-	nd := st.Node(r)
-	nd.Next = t.buckets[b]
-	t.buckets[b] = r
+	t.slots[i] = fp | uint64(r)&refMask
+	t.added(st)
+	return r
+}
+
+// added counts one new entry and grows the slot array past 3/4 load.
+func (t *Table) added(st *node.Store) {
 	t.count++
 	if t.count > t.maxCount {
 		t.maxCount = t.count
 	}
-	if t.count > uint64(len(t.buckets))*2 {
-		t.grow(st)
-	}
-	return r
-}
-
-// grow doubles the bucket array, rechaining all nodes. Caller holds lock.
-func (t *Table) grow(st *node.Store) {
-	old := t.buckets
-	t.buckets = make([]node.Ref, len(old)*2)
-	for i := range t.buckets {
-		t.buckets[i] = node.Nil
-	}
-	for _, head := range old {
-		for r := head; r != node.Nil; {
-			nd := st.Node(r)
-			next := nd.Next
-			b := hashRef(nd.Low, nd.High) & uint64(len(t.buckets)-1)
-			nd.Next = t.buckets[b]
-			t.buckets[b] = r
-			r = next
+	if t.count*4 > uint64(len(t.slots))*3 {
+		old := t.slots
+		t.slots = make([]uint64, len(old)*2)
+		for _, s := range old {
+			if s != 0 {
+				t.place(st, s&refMask)
+			}
 		}
 	}
 }
 
-// Lookup returns the canonical node for (low, high) if present, without
-// creating it. Caller must hold the lock (or be at a barrier).
-func (t *Table) Lookup(st *node.Store, low, high node.Ref) (node.Ref, bool) {
-	if t.buckets == nil {
-		return node.Nil, false
+// place puts the entry whose worker and index bits are ref into its first
+// free slot, re-hashing the node's children for its home slot and
+// fingerprint. The entry must be absent.
+func (t *Table) place(st *node.Store, ref uint64) {
+	nd := st.Node(t.level | node.Ref(ref))
+	h := hashRef(nd.Low, nd.High)
+	mask := uint64(len(t.slots) - 1)
+	i := h & mask
+	for t.slots[i] != 0 {
+		i = (i + 1) & mask
 	}
-	b := hashRef(low, high) & uint64(len(t.buckets)-1)
-	for r := t.buckets[b]; r != node.Nil; {
-		nd := st.Node(r)
-		if nd.Low == low && nd.High == high {
-			return r, true
-		}
-		r = nd.Next
-	}
-	return node.Nil, false
+	t.slots[i] = fingerprint(h) | ref
 }
 
-// ResetBuckets empties the table (keeping capacity) in preparation for the
-// rehash phase of a compacting collection. Exclusivity is guaranteed by
-// the GC barrier, not the lock.
+// ResetBuckets empties the table in preparation for the rehash phase of a
+// compacting collection, sized so that sizeHint entries stay within 3/4
+// load. Exclusivity is guaranteed by the GC barrier, not the lock.
 func (t *Table) ResetBuckets(sizeHint uint64) {
-	n := uint64(initialBuckets)
-	for n < sizeHint {
+	n := uint64(minSlots)
+	for n*3 < sizeHint*4 {
 		n *= 2
 	}
-	if uint64(len(t.buckets)) != n {
-		t.buckets = make([]node.Ref, n)
-	}
-	for i := range t.buckets {
-		t.buckets[i] = node.Nil
+	if uint64(len(t.slots)) != n {
+		t.slots = make([]uint64, n)
+	} else {
+		clear(t.slots)
 	}
 	t.count = 0
 }
 
 // Insert adds a node known to be absent (rehash phase). The caller must
-// hold the lock. Unlike FindOrAdd it never allocates and never grows: the
-// rehash phase pre-sizes buckets via ResetBuckets.
+// hold the lock. Unlike FindOrAdd it never allocates a node; ResetBuckets
+// pre-sizes the slots for the rehash, so it grows only if the hint was
+// short.
 func (t *Table) Insert(st *node.Store, r node.Ref) {
-	nd := st.Node(r)
-	b := hashRef(nd.Low, nd.High) & uint64(len(t.buckets)-1)
-	nd.Next = t.buckets[b]
-	t.buckets[b] = r
-	t.count++
-	if t.count > t.maxCount {
-		t.maxCount = t.count
+	t.level = r &^ refMask
+	if len(t.slots) == 0 {
+		t.slots = make([]uint64, minSlots)
 	}
+	t.place(st, uint64(r)&refMask)
+	t.added(st)
 }
 
-// RemoveUnmarked unlinks every node whose arena mark bit is clear
-// (free-list GC sweep), invoking free for each removed ref. Exclusivity is
+// RemoveUnmarked drops every node whose arena mark bit is clear
+// (free-list GC sweep), invoking free for each removed ref, and re-places
+// the survivors in a fresh slot array of the same size. Exclusivity is
 // guaranteed by the GC barrier.
 func (t *Table) RemoveUnmarked(st *node.Store, free func(node.Ref)) {
-	for i := range t.buckets {
-		prevNext := &t.buckets[i]
-		for r := *prevNext; r != node.Nil; {
-			nd := st.Node(r)
-			next := nd.Next
-			if st.Arena(r.Worker(), r.Level()).Marked(r.Index()) {
-				prevNext = &nd.Next
-			} else {
-				*prevNext = next
-				t.count--
-				free(r)
-			}
-			r = next
+	old := t.slots
+	t.slots = make([]uint64, len(old))
+	for _, s := range old {
+		if s == 0 {
+			continue
+		}
+		r := t.level | node.Ref(s&refMask)
+		if st.Arena(r.Worker(), r.Level()).Marked(r.Index()) {
+			t.place(st, s&refMask)
+		} else {
+			t.count--
+			free(r)
 		}
 	}
 }

@@ -58,21 +58,26 @@ func TestFindOrAddGrowth(t *testing.T) {
 	tab.Unlock()
 }
 
-func TestLookup(t *testing.T) {
+func TestFindOrAddCounters(t *testing.T) {
 	st := node.NewStore(1, 2)
 	var tab Table
-	if _, ok := tab.Lookup(st, node.Zero, node.One); ok {
-		t.Fatal("lookup hit on empty table")
+	if tab.Count() != 0 || tab.Bytes() != 0 {
+		t.Fatalf("zero table: Count=%d Bytes=%d", tab.Count(), tab.Bytes())
 	}
 	tab.Lock()
 	r := tab.FindOrAdd(st, 0, 1, node.Zero, node.One)
-	tab.Unlock()
-	got, ok := tab.Lookup(st, node.Zero, node.One)
-	if !ok || got != r {
-		t.Fatalf("Lookup = %v,%v want %v,true", got, ok, r)
+	if tab.Hits() != 0 || tab.Misses() != 1 {
+		t.Fatalf("first insert: hits=%d misses=%d", tab.Hits(), tab.Misses())
 	}
-	if _, ok := tab.Lookup(st, node.One, node.Zero); ok {
-		t.Fatal("lookup hit for absent node")
+	if got := tab.FindOrAdd(st, 0, 1, node.Zero, node.One); got != r || tab.Hits() != 1 || tab.Misses() != 1 {
+		t.Fatalf("repeat: got %v want %v, hits=%d misses=%d", got, r, tab.Hits(), tab.Misses())
+	}
+	if got := tab.FindOrAdd(st, 0, 1, node.One, node.Zero); got == r || tab.Hits() != 1 || tab.Misses() != 2 {
+		t.Fatalf("distinct key: got %v, hits=%d misses=%d", got, tab.Hits(), tab.Misses())
+	}
+	tab.Unlock()
+	if tab.Bytes() != minSlots*8 {
+		t.Fatalf("Bytes = %d want %d", tab.Bytes(), minSlots*8)
 	}
 }
 
@@ -148,13 +153,16 @@ func TestRemoveUnmarked(t *testing.T) {
 			t.Fatalf("marked node %v was freed", r)
 		}
 	}
-	// Survivors still findable.
+	// Survivors still findable: every probe is a hit on the same ref.
+	misses := tab.Misses()
 	for r := range keep {
 		nd := st.Node(r)
-		got, ok := tab.Lookup(st, nd.Low, nd.High)
-		if !ok || got != r {
-			t.Fatalf("survivor %v lost: %v,%v", r, got, ok)
+		if got := tab.FindOrAdd(st, 0, 0, nd.Low, nd.High); got != r {
+			t.Fatalf("survivor %v lost: got %v", r, got)
 		}
+	}
+	if tab.Misses() != misses {
+		t.Fatalf("survivor probes missed %d times", tab.Misses()-misses)
 	}
 }
 
@@ -176,11 +184,14 @@ func TestResetBucketsAndInsert(t *testing.T) {
 	if tab.Count() != 2 {
 		t.Fatalf("Count after reinsert = %d", tab.Count())
 	}
-	if got, ok := tab.Lookup(st, node.Zero, node.One); !ok || got != r1 {
-		t.Fatalf("r1 lost after rehash")
+	if got := tab.FindOrAdd(st, 0, 0, node.Zero, node.One); got != r1 {
+		t.Fatalf("r1 lost after rehash: got %v", got)
 	}
-	if got, ok := tab.Lookup(st, node.One, node.Zero); !ok || got != r2 {
-		t.Fatalf("r2 lost after rehash")
+	if got := tab.FindOrAdd(st, 0, 0, node.One, node.Zero); got != r2 {
+		t.Fatalf("r2 lost after rehash: got %v", got)
+	}
+	if tab.Misses() != 2 || tab.Count() != 2 {
+		t.Fatalf("rehash lookups missed: misses=%d Count=%d", tab.Misses(), tab.Count())
 	}
 	// MaxCount survives the reset (high-water semantics).
 	if tab.MaxCount() < 2 {

@@ -126,7 +126,7 @@ func WithMaxNodes(n uint64) Option {
 }
 
 // WithMaxBytes bounds the manager's approximate total memory footprint
-// (nodes + operator arenas + caches + unique-table buckets) the same way
+// (nodes + operator arenas + caches + unique-table slots) the same way
 // WithMaxNodes bounds the node count.
 func WithMaxBytes(n uint64) Option {
 	return func(o *core.Options) { o.MaxBytes = n }
@@ -500,7 +500,7 @@ type Stats struct {
 	LockWait time.Duration
 	// GCCount is the number of collections; PeakBytes the high-water
 	// explicit memory footprint (nodes + operator nodes + caches +
-	// unique-table buckets).
+	// unique-table slots).
 	GCCount   uint64
 	PeakBytes uint64
 	// NumNodes is the current live node count.
