@@ -10,6 +10,8 @@ package bfbdd_test
 //
 //	Mops/build   total Shannon expansion steps (Figure 11's metric)
 //	peak-MB      high-water explicit memory (Figure 9's metric)
+//	nodes-MB, ops-MB, cache-MB, tables-MB
+//	             peak-MB split by component (BenchmarkBuildPeak)
 //	speedup-mdl  modeled ideal-machine speedup (see EXPERIMENTS.md)
 
 import (
@@ -92,6 +94,21 @@ func BenchmarkFig09Memory(b *testing.B) {
 				_ = r
 			})
 		}
+	}
+}
+
+// BenchmarkBuildPeak reports a mult-10 build's peak memory and its split
+// by component at the peak sample, sequential and with 2 workers: the
+// numbers ROADMAP item 3 tracks (nodes-MB, ops-MB, cache-MB, tables-MB).
+func BenchmarkBuildPeak(b *testing.B) {
+	for _, p := range []int{0, 2} {
+		b.Run("mult-10/procs="+harness.ProcLabel(p), func(b *testing.B) {
+			a := runOne(b, harness.Config{Circuit: "mult-10", Workers: p}).AtPeak
+			b.ReportMetric(float64(a.NodeBytes)/(1<<20), "nodes-MB")
+			b.ReportMetric(float64(a.OpBytes)/(1<<20), "ops-MB")
+			b.ReportMetric(float64(a.CacheBytes)/(1<<20), "cache-MB")
+			b.ReportMetric(float64(a.TableBytes)/(1<<20), "tables-MB")
+		})
 	}
 }
 

@@ -9,24 +9,27 @@
 // variable so that cache probes during the expansion of variable x touch
 // only x's segment.
 //
-// Entries are invalidated lazily with generation numbers:
-//
-//   - entries holding a BDD ref die when the BDD generation advances
-//     (garbage collection moves or frees nodes);
-//   - entries holding an operator-node handle die when the op generation
-//     advances (operator arenas are recycled once a top-level operation
-//     completes).
+// Every entry dies at a garbage collection, which moves or frees nodes,
+// so the collector calls Rebuild: each segment gets fresh, empty storage
+// at half its size and does not keep its high-water size for good.
+// Between collections only op-handle entries go stale, lazily, when the
+// op generation advances at a top-level boundary (operator arenas are
+// recycled once a top-level operation completes).
 //
 // Each segment starts at 2^8 entries and doubles, up to the cache's max
 // bits, once its live conflicts outnumber its slots. A live conflict is an
-// insert that evicts a current-generation entry holding a different key.
-// Filling an empty or stale slot, or rewriting the same key, is not one:
-// otherwise a long build or session, whose op-handle entries all go stale
-// at every top-level boundary, would grow its segments to the cap with
-// the number of inserts it ever made rather than with its working set.
+// insert that evicts a live entry holding a different key. Filling an
+// empty or stale slot, or rewriting the same key, is not one: otherwise a
+// long build or session, whose op-handle entries all go stale at every
+// top-level boundary, would grow its segments to the cap with the number
+// of inserts it ever made rather than with its working set.
 package cache
 
-import "bfbdd/internal/node"
+import (
+	"unsafe"
+
+	"bfbdd/internal/node"
+)
 
 // Tagged is a tagged result word: either a node.Ref (bit 63 clear) or an
 // operator-node handle (bit 63 set). The core package defines the handle
@@ -46,11 +49,12 @@ type entry struct {
 	f, g node.Ref
 	val  Tagged
 	op   uint8
-	gen  uint32
+	gen  uint32 // op generation of an op-handle val; unused for a ref
 }
 
 const (
-	emptyF = node.Nil // sentinel: entry unused
+	emptyF     = node.Nil // sentinel: entry unused
+	entryBytes = uint64(unsafe.Sizeof(entry{}))
 
 	// initialBits sizes a fresh per-variable segment at 2^initialBits.
 	initialBits = 8
@@ -60,10 +64,9 @@ type segment struct {
 	entries []entry
 	mask    uint64
 	// pressure counts live conflicts since the last resize: inserts that
-	// evicted a current-generation entry with a different (op, f, g).
-	// When it exceeds the segment size the segment doubles (up to the
-	// cache's max bits), so segments grow with the working set, not with
-	// the number of inserts.
+	// evicted a live entry with a different (op, f, g). When it exceeds
+	// the segment size the segment doubles (up to the cache's max bits),
+	// so segments grow with the working set, not the number of inserts.
 	pressure uint64
 }
 
@@ -71,9 +74,7 @@ type segment struct {
 type Cache struct {
 	segs    []segment
 	maxBits uint
-
-	bddGen uint32
-	opGen  uint32
+	opGen   uint32
 
 	hits, misses, inserts uint64
 }
@@ -87,45 +88,57 @@ func New(levels int, maxBits uint) *Cache {
 	return &Cache{segs: make([]segment, levels), maxBits: maxBits}
 }
 
-// Levels returns the number of per-variable segments.
-func (c *Cache) Levels() int { return len(c.segs) }
-
 // Hits, Misses and Inserts return lookup/insert counters.
 func (c *Cache) Hits() uint64    { return c.hits }
 func (c *Cache) Misses() uint64  { return c.misses }
 func (c *Cache) Inserts() uint64 { return c.inserts }
-
-// InvalidateBDD advances the BDD generation: every entry whose value is a
-// BDD ref becomes stale. Called after garbage collection.
-func (c *Cache) InvalidateBDD() { c.bddGen++; c.opGen++ }
 
 // InvalidateOps advances the op generation: every entry whose value is an
 // operator-node handle becomes stale. Called when operator arenas are
 // recycled at the end of a top-level operation.
 func (c *Cache) InvalidateOps() { c.opGen++ }
 
-// Bytes returns the cache's approximate memory footprint.
+// Bytes returns the cache's memory footprint.
 func (c *Cache) Bytes() uint64 {
 	var total uint64
 	for i := range c.segs {
-		total += uint64(len(c.segs[i].entries)) * 32
+		total += uint64(len(c.segs[i].entries)) * entryBytes
 	}
 	return total
 }
 
-// Shrink releases every segment's storage and returns the bytes freed.
-// It is the memory-pressure escalation step between an early GC and a
-// budget abort: the cache is lossy by contract, so dropping it entirely
-// only costs recomputation. Safe only while the owning worker is
-// quiescent (top-level-operation boundaries) — segments holding
-// operator-node handles for an in-flight build must not disappear
-// mid-reduction.
-func (c *Cache) Shrink() uint64 {
-	freed := c.Bytes()
+// Rebuild drops every entry, which a garbage collection leaves stale.
+// Each segment gets fresh storage at half its size; one that would fall
+// below 2^8 entries is freed until its next Insert.
+func (c *Cache) Rebuild() { c.rebuild(1 << c.maxBits) }
+
+// Shrink is Rebuild with a ceiling of zero entries: it frees every
+// segment and returns the bytes released. It is the budget ladder's rung
+// between an early GC and an abort (the cache is lossy, so dropping it
+// only costs recomputation); like Rebuild, it runs only at quiescent
+// boundaries, with no in-flight build's op handles to lose.
+func (c *Cache) Shrink() uint64 { return c.rebuild(0) }
+
+// rebuild gives each segment fresh, empty storage at half its size, at
+// most ceil entries, and frees one that would fall below 2^8.
+func (c *Cache) rebuild(ceil int) uint64 {
+	before := c.Bytes()
 	for i := range c.segs {
-		c.segs[i] = segment{}
+		if n := min(len(c.segs[i].entries)/2, ceil); n >= 1<<initialBits {
+			c.segs[i] = newSegment(n)
+		} else {
+			c.segs[i] = segment{}
+		}
 	}
-	return freed
+	return before - c.Bytes()
+}
+
+func newSegment(n int) segment {
+	s := segment{entries: make([]entry, n), mask: uint64(n) - 1}
+	for i := range s.entries {
+		s.entries[i].f = emptyF
+	}
+	return s
 }
 
 func hash3(op uint8, f, g node.Ref) uint64 {
@@ -136,11 +149,9 @@ func hash3(op uint8, f, g node.Ref) uint64 {
 	return h
 }
 
-func (c *Cache) genFor(v Tagged) uint32 {
-	if v.IsOpHandle() {
-		return c.opGen
-	}
-	return c.bddGen
+// live reports whether e holds an entry that has not gone stale.
+func (c *Cache) live(e *entry) bool {
+	return e.f != emptyF && (!e.val.IsOpHandle() || e.gen == c.opGen)
 }
 
 // Lookup returns the cached result for (op, f, g) at the given level, if
@@ -152,7 +163,7 @@ func (c *Cache) Lookup(level int, op uint8, f, g node.Ref) (Tagged, bool) {
 		return 0, false
 	}
 	e := &s.entries[hash3(op, f, g)&s.mask]
-	if e.f == f && e.g == g && e.op == op && e.f != emptyF && e.gen == c.genFor(e.val) {
+	if e.f == f && e.g == g && e.op == op && c.live(e) {
 		c.hits++
 		return e.val, true
 	}
@@ -167,37 +178,26 @@ func (c *Cache) Lookup(level int, op uint8, f, g node.Ref) (Tagged, bool) {
 func (c *Cache) Insert(level int, op uint8, f, g node.Ref, val Tagged) {
 	s := &c.segs[level]
 	if s.entries == nil {
-		s.entries = make([]entry, 1<<initialBits)
-		s.mask = 1<<initialBits - 1
-		for i := range s.entries {
-			s.entries[i].f = emptyF
-		}
+		*s = newSegment(1 << initialBits)
 	} else if s.pressure > uint64(len(s.entries)) && uint64(len(s.entries)) < 1<<c.maxBits {
 		c.growSegment(s)
 	}
 	c.inserts++
 	e := &s.entries[hash3(op, f, g)&s.mask]
-	if e.f != emptyF && e.gen == c.genFor(e.val) && (e.op != op || e.f != f || e.g != g) {
+	if c.live(e) && (e.op != op || e.f != f || e.g != g) {
 		s.pressure++
 	}
-	e.op, e.f, e.g, e.val, e.gen = op, f, g, val, c.genFor(val)
+	e.op, e.f, e.g, e.val, e.gen = op, f, g, val, c.opGen
 }
 
-// growSegment doubles a segment, rehashing current entries.
+// growSegment doubles a segment, rehashing live entries.
 func (c *Cache) growSegment(s *segment) {
 	old := s.entries
-	s.entries = make([]entry, len(old)*2)
-	s.mask = uint64(len(s.entries)) - 1
-	s.pressure = 0
-	for i := range s.entries {
-		s.entries[i].f = emptyF
-	}
+	*s = newSegment(len(old) * 2)
 	for i := range old {
-		e := &old[i]
-		if e.f == emptyF || e.gen != c.genFor(e.val) {
-			continue
+		if e := &old[i]; c.live(e) {
+			s.entries[hash3(e.op, e.f, e.g)&s.mask] = *e
 		}
-		s.entries[hash3(e.op, e.f, e.g)&s.mask] = *e
 	}
 }
 
@@ -211,6 +211,6 @@ func (c *Cache) Update(level int, op uint8, f, g node.Ref, val Tagged) {
 	}
 	e := &s.entries[hash3(op, f, g)&s.mask]
 	if e.f == f && e.g == g && e.op == op {
-		e.val, e.gen = val, c.genFor(val)
+		e.val, e.gen = val, c.opGen
 	}
 }

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bfbdd/internal/node"
 )
@@ -32,6 +33,14 @@ func TestTaggedQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Bytes counts entryBytes per slot; an entry of 32 bytes packs two to a
+// 64-byte cache line, and a field added carelessly would pad it past that.
+func TestEntryBytesIsEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 32 || entryBytes != 32 {
+		t.Fatalf("unsafe.Sizeof(entry{}) = %d, entryBytes = %d, want 32", got, entryBytes)
 	}
 }
 
@@ -102,7 +111,7 @@ func TestGrowthKeepsEntries(t *testing.T) {
 	for i := uint64(1 << initialBits); i < 1<<(initialBits+2); i++ {
 		c.Insert(0, 1, mkRef(1, i), node.One, FromRef(mkRef(0, i)))
 	}
-	if c.Bytes() <= uint64(1<<initialBits)*32 {
+	if c.Bytes() <= uint64(1<<initialBits)*entryBytes {
 		t.Fatalf("segment did not grow: %d bytes", c.Bytes())
 	}
 	after := 0
@@ -136,21 +145,78 @@ func TestGenerationInvalidation(t *testing.T) {
 	if v, ok := c.Lookup(0, 1, f, g); !ok || v != bddVal {
 		t.Fatal("BDD entry should survive InvalidateOps")
 	}
+}
 
-	// InvalidateBDD kills everything.
-	c.Insert(1, 1, f, g, opVal)
-	c.InvalidateBDD()
-	if _, ok := c.Lookup(0, 1, f, g); ok {
-		t.Fatal("BDD entry survived InvalidateBDD")
+// TestRebuild pins what a garbage collection does to the cache: every
+// segment comes back empty at half its size, one that would fall below
+// 2^initialBits is freed, no entry of either kind survives, and the cache
+// keeps working afterwards, op-handle generations included. Shrink, the
+// budget rung, is the same rebuild with nothing kept.
+func TestRebuild(t *testing.T) {
+	c := New(4, 12)
+	c.segs[0] = newSegment(1 << 11)
+	c.segs[1] = newSegment(1 << (initialBits + 1))
+	c.segs[2] = newSegment(1 << initialBits)
+	bddVal := FromRef(mkRef(0, 9))
+	type key struct {
+		level int
+		f     node.Ref
+		val   Tagged
 	}
-	if _, ok := c.Lookup(1, 1, f, g); ok {
-		t.Fatal("op entry survived InvalidateBDD")
+	var keys []key
+	for level := 0; level < 3; level++ {
+		for i := uint64(0); i < 64; i++ {
+			keys = append(keys, key{level, mkRef(1, 2*i), bddVal}, key{level, mkRef(1, 2*i+1), Tagged(1<<63 | i)})
+		}
+	}
+	for _, k := range keys {
+		c.Insert(k.level, 1, k.f, node.One, k.val)
+	}
+	c.Rebuild()
+	want := [4]int{1 << 10, 1 << initialBits, 0, 0}
+	for i, n := range want {
+		if got := len(c.segs[i].entries); got != n {
+			t.Fatalf("segment %d has %d entries after Rebuild, want %d", i, got, n)
+		}
+		if c.segs[i].pressure != 0 {
+			t.Fatalf("segment %d kept pressure %d", i, c.segs[i].pressure)
+		}
+	}
+	if got, want := c.Bytes(), uint64(1<<10+1<<initialBits)*entryBytes; got != want {
+		t.Fatalf("cache holds %d bytes after Rebuild, want %d", got, want)
+	}
+	for _, k := range keys {
+		if v, ok := c.Lookup(k.level, 1, k.f, node.One); ok {
+			t.Fatalf("entry %v at level %d survived Rebuild as %x", k.f, k.level, v)
+		}
 	}
 
-	// Fresh inserts after invalidation work.
-	c.Insert(0, 1, f, g, bddVal)
-	if _, ok := c.Lookup(0, 1, f, g); !ok {
-		t.Fatal("insert after invalidation not visible")
+	// The rebuilt cache takes both kinds again, and op handles still die
+	// at the next top-level boundary.
+	for _, k := range keys {
+		c.Insert(k.level, 1, k.f, node.One, k.val)
+	}
+	c.InvalidateOps()
+	hits := 0
+	for _, k := range keys {
+		v, ok := c.Lookup(k.level, 1, k.f, node.One)
+		if k.val.IsOpHandle() && ok {
+			t.Fatalf("op-handle entry %v survived InvalidateOps after Rebuild", k.f)
+		}
+		if !k.val.IsOpHandle() && ok {
+			if v != k.val {
+				t.Fatalf("entry %v reads %x, want %x", k.f, v, k.val)
+			}
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no BDD entry inserted after Rebuild is visible")
+	}
+
+	before := c.Bytes()
+	if freed := c.Shrink(); freed != before || c.Bytes() != 0 {
+		t.Fatalf("Shrink freed %d of %d bytes, leaving %d", freed, before, c.Bytes())
 	}
 }
 
@@ -220,7 +286,7 @@ func TestRefillAfterInvalidateDoesNotGrow(t *testing.T) {
 		}
 		c.InvalidateOps()
 	}
-	if got, want := c.Bytes(), uint64(1<<initialBits)*32; got != want {
+	if got, want := c.Bytes(), uint64(1<<initialBits)*entryBytes; got != want {
 		t.Fatalf("segment grew to %d bytes after %d refills of a %d-key working set, want %d",
 			got, total/len(keys), len(keys), want)
 	}
@@ -237,14 +303,13 @@ func TestWorkingSetLargerThanSegmentGrows(t *testing.T) {
 			c.Insert(0, 1, mkRef(1, i), node.One, Tagged(1<<63|i))
 		}
 	}
-	if got, want := c.Bytes(), uint64(1<<maxBits)*32; got != want {
+	if got, want := c.Bytes(), uint64(1<<maxBits)*entryBytes; got != want {
 		t.Fatalf("segment is %d bytes after a working set 4x its size, want the %d-byte cap", got, want)
 	}
 }
 
 // TestStaleAndEmptyEvictionsAddNoPressure pins the growth rule: only an
-// insert that evicts a current-generation entry with a different key
-// counts as pressure.
+// insert that evicts a live entry with a different key counts as pressure.
 func TestStaleAndEmptyEvictionsAddNoPressure(t *testing.T) {
 	c := New(1, 16)
 	s := &c.segs[0]
@@ -283,12 +348,12 @@ func TestStaleAndEmptyEvictionsAddNoPressure(t *testing.T) {
 	c.InvalidateOps()
 	fill(b, false)
 	check("evictions of stale op-handle entries", 0)
-	c.InvalidateBDD()
+	c.Rebuild()
 	fill(a, true)
-	check("evictions of stale BDD entries", 0)
+	check("inserts after a rebuild", 0)
 	fill(b, false)
 	check("evictions of live entries", uint64(len(a)))
-	if got, want := c.Bytes(), uint64(1<<initialBits)*32; got != want {
+	if got, want := c.Bytes(), uint64(1<<initialBits)*entryBytes; got != want {
 		t.Fatalf("segment is %d bytes, want %d", got, want)
 	}
 }

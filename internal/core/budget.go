@@ -27,9 +27,11 @@ import (
 //
 //   - at top-level-operation boundaries (budgetGate), where every worker
 //     is quiescent, the remaining escalation steps run: force an early
-//     collection, then shrink the compute caches, and only if the pinned
-//     live state alone still busts the budget, refuse the operation with
-//     *BudgetError before any transient state is built.
+//     collection (which rebuilds the compute caches at half size), then
+//     free the caches outright (Cache.Shrink, the same rebuild with a
+//     ceiling of zero entries), and only if the pinned live state alone
+//     still busts the budget, refuse the operation with *BudgetError
+//     before any transient state is built.
 //
 // The escalation ladder is therefore: degrade threshold → forced GC →
 // cache shrink → typed abort; the kernel stays consistent and reusable

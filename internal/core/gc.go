@@ -90,7 +90,7 @@ func (k *Kernel) GC() {
 		k.gcCompact()
 	}
 	for _, w := range k.workers {
-		w.cache.InvalidateBDD()
+		w.cache.Rebuild()
 	}
 	// Reconcile the approximate live counters with post-collection truth
 	// (frees and compaction moves are invisible to NoteAlloc).

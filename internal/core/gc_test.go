@@ -282,3 +282,44 @@ func TestGCWithOracleAfterwards(t *testing.T) {
 	o.verify(t)
 	checkInvariants(t, k, o.refs)
 }
+
+// TestGCHalvesCache: a collection leaves every cache entry stale, so it
+// rebuilds each worker's cache at half its size or less, and the memory
+// sample it takes counts the rebuilt size.
+func TestGCHalvesCache(t *testing.T) {
+	for _, opts := range gcEngines() {
+		t.Run(opts.Engine.String()+"/"+opts.GC.String(), func(t *testing.T) {
+			opts.GCMinNodes = 1 << 40 // collect only when the test says so
+			k := NewKernel(opts)
+			rng := rand.New(rand.NewSource(5))
+			for i := 0; i < 40; i++ {
+				f := node.Zero
+				for j := 0; j < 12; j++ {
+					a, b, c := k.VarRef(rng.Intn(24)), k.VarRef(rng.Intn(24)), k.VarRef(rng.Intn(24))
+					f = k.Apply(OpOr, f, k.Apply(OpAnd, k.Apply(OpXor, a, b), c))
+				}
+				k.Pin(f)
+			}
+			cacheBytes := func() uint64 {
+				var n uint64
+				for _, w := range k.workers {
+					n += w.cache.Bytes()
+				}
+				return n
+			}
+			before := cacheBytes()
+			if before == 0 {
+				t.Fatal("the build left the cache empty")
+			}
+			k.GC()
+			after := cacheBytes()
+			if after > before/2 {
+				t.Fatalf("cache holds %d bytes after GC, was %d", after, before)
+			}
+			if got := k.Memory().CacheBytes; got != after {
+				t.Fatalf("Memory().CacheBytes = %d after GC, caches hold %d", got, after)
+			}
+			t.Logf("cache %d -> %d bytes", before, after)
+		})
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"bfbdd/internal/node"
 )
@@ -108,6 +109,16 @@ func TestMemorySampling(t *testing.T) {
 	}
 	if mem.Total() > mem.PeakBytes {
 		t.Fatal("peak below current total")
+	}
+}
+
+// The memory accounting counts opNodeBytes per operator node. The guard
+// pins the layout: a field added to opNode (or padding from reordered
+// ones) grows every operator arena block and every Fig 9 op-node figure,
+// so it must be a deliberate edit here.
+func TestOpNodeBytesIsOpNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(opNode{}); got != 48 || opNodeBytes != 48 {
+		t.Fatalf("unsafe.Sizeof(opNode{}) = %d, opNodeBytes = %d, want 48", got, opNodeBytes)
 	}
 }
 

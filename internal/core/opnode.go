@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"bfbdd/internal/cache"
 	"bfbdd/internal/node"
@@ -46,9 +47,9 @@ func (o *opNode) setResult(r node.Ref) {
 // resultRef reads the published result; valid only after state == opDone.
 func (o *opNode) resultRef() node.Ref { return node.Ref(o.result.Load()) }
 
-// opNodeBytes approximates the footprint of one operator node for the
-// memory accounting (Fig 9/10).
-const opNodeBytes = 48
+// opNodeBytes is the footprint of one operator node for the memory
+// accounting (Fig 9/10).
+const opNodeBytes = uint64(unsafe.Sizeof(opNode{}))
 
 // opRef is a packed handle to an operator node: bit 63 set (so it is
 // distinguishable from a node.Ref inside a cache.Tagged word), owner

@@ -93,12 +93,25 @@ func Fig8(w io.Writer, rs ResultSet) {
 	})
 }
 
-// Fig9 prints peak memory per run in MBytes (paper Figure 9).
+// Fig9 prints peak memory per run in MBytes (paper Figure 9), then each
+// peak split by component.
 func Fig9(w io.Writer, rs ResultSet) {
 	header(w, "Figure 9: Memory usage (MBytes)")
 	rs.matrix(w, func(r *Result) string {
 		return fmt.Sprintf("%.1f", float64(r.PeakBytes)/(1<<20))
 	})
+	header(w, "Figure 9 (split): MBytes by component at the peak")
+	fmt.Fprintf(w, "%-12s%-8s%10s%10s%10s%10s\n", "Circuit", "# Procs", "nodes", "op nodes", "cache", "tables")
+	for _, c := range rs.Circuits() {
+		for _, p := range procsOf(rs[c]) {
+			a := rs[c][p].AtPeak
+			fmt.Fprintf(w, "%-12s%-8s", c, ProcLabel(p))
+			for _, b := range []uint64{a.NodeBytes, a.OpBytes, a.CacheBytes, a.TableBytes} {
+				fmt.Fprintf(w, "%10.1f", float64(b)/(1<<20))
+			}
+			fmt.Fprintln(w)
+		}
+	}
 }
 
 // Fig10 prints the Figure 9 data as series suitable for plotting

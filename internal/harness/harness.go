@@ -106,8 +106,10 @@ type Result struct {
 	// TotalOps is the number of Shannon expansion steps summed over all
 	// workers (the paper's Figure 11 metric).
 	TotalOps uint64
-	// PeakBytes is the high-water explicit memory footprint (Figure 9).
+	// PeakBytes is the high-water explicit memory footprint (Figure 9);
+	// AtPeak splits it into nodes, operator nodes, cache and tables.
 	PeakBytes uint64
+	AtPeak    stats.Parts
 
 	// Worker0 carries the first processor's phase breakdown (Figures 13
 	// and 18 report the first processor's workload).
@@ -202,7 +204,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	r.AllWorkers = k.TotalStats()
 	r.TotalOps = r.AllWorkers.Ops
-	r.PeakBytes = k.Memory().PeakBytes
+	r.PeakBytes, r.AtPeak = k.Memory().PeakBytes, k.Memory().AtPeak
 	workers := cfg.Workers
 	if workers == 0 {
 		workers = 1

@@ -46,6 +46,11 @@ func TestRunSequentialAndParallelAgree(t *testing.T) {
 	if seq.PeakBytes == 0 || par.PeakBytes == 0 {
 		t.Fatal("no memory recorded")
 	}
+	for _, r := range []*Result{seq, par} {
+		if r.AtPeak.Total() != r.PeakBytes || r.AtPeak.NodeBytes == 0 {
+			t.Fatalf("components at peak %+v do not add up to PeakBytes %d", r.AtPeak, r.PeakBytes)
+		}
+	}
 	if len(seq.MaxNodesPerVar) != 10 {
 		t.Fatalf("MaxNodesPerVar has %d entries want 10", len(seq.MaxNodesPerVar))
 	}
@@ -112,6 +117,7 @@ func TestSweepAndFigures(t *testing.T) {
 		"Figure 17", "Figure 18", "Figure 19",
 		"Seq", "mult-4", "adder-6", "Expansion", "Reduction",
 		"Mark", "Fix", "Rehash", "max nodes", "DSM pooling",
+		"Figure 9 (split)", "op nodes",
 	} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("figure output missing %q\n%s", frag, out)

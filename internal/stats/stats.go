@@ -98,29 +98,37 @@ func (w *Worker) Add(other *Worker) {
 	w.ContextPops += other.ContextPops
 }
 
+// Parts is one memory sample split by component.
+type Parts struct {
+	NodeBytes  uint64
+	OpBytes    uint64
+	CacheBytes uint64
+	TableBytes uint64
+}
+
+// Total returns the sample's total footprint.
+func (p Parts) Total() uint64 {
+	return p.NodeBytes + p.OpBytes + p.CacheBytes + p.TableBytes
+}
+
 // Memory tracks byte-level memory accounting with a high-water mark,
 // reproducing the paper's Figure 9/10 memory-usage measurements.
 type Memory struct {
-	// Current components, updated at sampling points.
-	NodeBytes   uint64
-	OpBytes     uint64
-	CacheBytes  uint64
-	TableBytes  uint64
+	// Parts holds the current components, updated at sampling points.
+	Parts
+	// PeakBytes is the largest total sampled; AtPeak is the sample that
+	// set it, so the peak can be split by component.
 	PeakBytes   uint64
+	AtPeak      Parts
 	GCCount     uint64
 	GCPauseNs   int64
 	LastLiveNds uint64
 }
 
-// Total returns the current total footprint.
-func (m *Memory) Total() uint64 {
-	return m.NodeBytes + m.OpBytes + m.CacheBytes + m.TableBytes
-}
-
 // Sample records the current component sizes and updates the peak.
 func (m *Memory) Sample(nodeB, opB, cacheB, tableB uint64) {
-	m.NodeBytes, m.OpBytes, m.CacheBytes, m.TableBytes = nodeB, opB, cacheB, tableB
+	m.Parts = Parts{nodeB, opB, cacheB, tableB}
 	if t := m.Total(); t > m.PeakBytes {
-		m.PeakBytes = t
+		m.PeakBytes, m.AtPeak = t, m.Parts
 	}
 }

@@ -79,8 +79,14 @@ func TestMemorySample(t *testing.T) {
 	if m.PeakBytes != 200 {
 		t.Fatal("peak must be monotone")
 	}
+	if want := (Parts{100, 50, 25, 25}); m.AtPeak != want {
+		t.Fatalf("AtPeak = %+v after a lower sample, want %+v", m.AtPeak, want)
+	}
 	m.Sample(300, 0, 0, 0)
 	if m.PeakBytes != 300 {
 		t.Fatalf("peak not raised: %d", m.PeakBytes)
+	}
+	if want := (Parts{300, 0, 0, 0}); m.AtPeak != want || m.AtPeak.Total() != m.PeakBytes {
+		t.Fatalf("AtPeak = %+v, want %+v", m.AtPeak, want)
 	}
 }
