@@ -1,6 +1,6 @@
 // Command bfbdd is the offline toolkit. It builds circuits into BDDs,
-// checks two circuits for equivalence, and runs the cross-engine
-// differential oracle. It also inspects the files bfbdd leaves on disk:
+// checks two circuits for equivalence, runs the cross-engine
+// differential oracle, and regenerates the paper's figures. It also inspects the files bfbdd leaves on disk:
 // snapshot streams (Manager.Snapshot, the server's checkpoints,
 // POST /v1/sessions/{sid}/snapshot), compiled function artifacts
 // (Manager.Compile, GET /v1/funcs/{id}/download, the server's funcs/
@@ -10,6 +10,7 @@
 //	bfbdd circuit (-circuit name | -bench file.bench) [flags]
 //	bfbdd verify -spec a -impl b [flags]
 //	bfbdd oracle [flags] | bfbdd oracle -replay file
+//	bfbdd bench [flags]
 //	bfbdd snap info|verify|repack|dot ...
 //	bfbdd func build|info|eval|satcount|anysat ...
 //	bfbdd wal info|verify|replay|export ...
@@ -45,6 +46,10 @@ const usageText = `usage:
                [-shrink=false] [-shrink-budget n] [-max-failures n] [-v]
                                          differential fuzzing of every engine; exit 1 on a divergence
   bfbdd oracle -replay file              re-run a recorded divergence
+  bfbdd bench [-full] [-circuits list] [-detail name] [-procs list] [-figs list]
+              [-threshold n] [-groupsize n] [-gc compact|freelist] [-order m] [-nosteal] [-o file]
+                                         the paper's Figures 7-19; rows with more workers
+                                         than GOMAXPROCS are modeled and marked (model)
 
   engines: df, bf, hybrid, pbf, par; orders: dfs, identity, interleave, reverse, shuffle
 
@@ -77,7 +82,7 @@ type command func(c *cli, args []string) error
 
 // verbs take their arguments directly; tools group verbs under a noun.
 var verbs = map[string]command{
-	"circuit": circuitRun, "verify": verifyRun, "oracle": oracleRun, "trace": traceRun,
+	"circuit": circuitRun, "verify": verifyRun, "oracle": oracleRun, "bench": benchRun, "trace": traceRun,
 }
 
 var tools = map[string]map[string]command{

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -267,6 +268,8 @@ var verbCases = []struct {
 	{"oracle", "oracle -seed 7 -seqs 20"},
 	{"oracle-replay-missing", "oracle -replay $TMP/no-such.json"},
 	{"oracle-bad-vars", "oracle -vars 99"},
+	{"bench", "bench -circuits mult-5 -procs 0,1,2,4"},
+	{"bench-unknown-circuit", "bench -circuits nope-4 -procs 0"},
 }
 
 // timedVerbs print wall-clock times, which TestVerbs masks.
@@ -275,6 +278,10 @@ var timedVerbs = map[string]bool{"circuit": true, "verify": true, "oracle": true
 // duration matches a Go time.Duration string such as 0s, 12ms or 1m2.5s.
 var duration = regexp.MustCompile(`\b(\d+(\.\d+)?(ns|µs|us|ms|s|m|h))+\b`)
 
+// measurement matches what bench measures: times, speedups, memory,
+// operation counts, and the steal and collection counts of parallel runs.
+var measurement = regexp.MustCompile(`\d+\.\d+|\d+ (steals|GCs)`)
+
 // TestVerbs runs every verb in-process and compares its exit status and
 // stdout with testdata/<case>.golden, which holds "exit: N" and then the
 // stdout of the seven single-purpose tools this command replaced, run on
@@ -282,16 +289,23 @@ var duration = regexp.MustCompile(`\b(\d+(\.\d+)?(ns|µs|us|ms|s|m|h))+\b`)
 // a one-line ok:false verdict and exit 1. Where the tools disagreed on
 // exit codes, the goldens hold this command's: an unknown -engine or
 // -order is a usage error (2), and a circuit or replay file that cannot
-// be read is a failure (1).
+// be read is a failure (1). bench has its measurements masked, so its
+// golden pins the report's layout and which rows are modeled.
 func TestVerbs(t *testing.T) {
+	// The bench golden measures up to 2 processors and models the
+	// 4-processor rows.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	tmp := t.TempDir()
 	genInputs(t, tmp)
 	for _, tc := range verbCases {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(strings.ReplaceAll(tc.args, "$TMP", tmp)), &stdout, &stderr)
 		out := strings.ReplaceAll(stdout.String(), tmp, "$TMP")
-		if timedVerbs[strings.Fields(tc.args)[0]] {
+		switch verb := strings.Fields(tc.args)[0]; {
+		case timedVerbs[verb]:
 			out = duration.ReplaceAllString(out, "<dur>")
+		case verb == "bench":
+			out = measurement.ReplaceAllString(out, "<m>")
 		}
 		got := fmt.Sprintf("exit: %d\n%s", code, out)
 		want, err := os.ReadFile(filepath.Join("testdata", tc.name+".golden"))
@@ -301,6 +315,32 @@ func TestVerbs(t *testing.T) {
 		if got != string(want) {
 			t.Errorf("bfbdd %s:\n--- got\n%s--- want\n%s--- stderr\n%s", tc.args, got, want, stderr.String())
 		}
+	}
+}
+
+// TestBenchOutput checks that bench -o commits the report it would
+// print through internal/durable, leaving no temporary file behind.
+func TestBenchOutput(t *testing.T) {
+	tmp := t.TempDir()
+	path := filepath.Join(tmp, "report.txt")
+	args := []string{"bench", "-circuits", "mult-4", "-procs", "0,1", "-figs", "15"}
+	printed, stderr, code := runTool(args...)
+	if code != 0 {
+		t.Fatalf("bench: exit %d\n%s", code, stderr)
+	}
+	stdout, stderr, code := runTool(append(args, "-o", path)...)
+	if code != 0 || stdout != "wrote "+path+"\n" {
+		t.Fatalf("bench -o: exit %d, stdout %q\n%s", code, stdout, stderr)
+	}
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := measurement.ReplaceAllString(string(written), "<m>"), measurement.ReplaceAllString(printed, "<m>"); got != want {
+		t.Errorf("bench -o wrote\n%s\nbut prints\n%s", got, want)
+	}
+	if ents, _ := os.ReadDir(tmp); len(ents) != 1 {
+		t.Errorf("bench -o left %d files in its directory, want only the report", len(ents))
 	}
 }
 
@@ -369,6 +409,13 @@ func TestUsageErrors(t *testing.T) {
 		{"verify", "-spec", "adder-4", "-impl", "cla-4", "-max-cex"},
 		{"oracle", "-seqs", "0"},
 		{"oracle", "-engines", "nope"},
+		{"bench", "-procs", "1,x"},
+		{"bench", "-procs", "-1"},
+		{"bench", "-figs", "6"},
+		{"bench", "-gc", "nope"},
+		{"bench", "-order", "nope"},
+		{"bench", "-circuits", "mult-5", "-detail", "mult-6"},
+		{"bench", "extra"},
 	} {
 		stdout, stderr, code := runTool(args...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, "usage:") {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bfbdd/internal/node"
@@ -321,5 +322,64 @@ func TestGCHalvesCache(t *testing.T) {
 			}
 			t.Logf("cache %d -> %d bytes", before, after)
 		})
+	}
+}
+
+// TestGCDropsCacheBeforeIndexReuse asks a compacted kernel the same
+// (op, f, g) it cached before the collection, where g's index now holds
+// a different node: the dead x at level 7 lets y slide into x's slot,
+// and a fresh x' then takes y's old index. A cache entry that survived
+// the collection would answer and(var0, x') with its stale result
+// and(var0, y). The warm-up grows level 0's cache segment well past
+// 2^8 entries first, so the collection halves it rather than freeing it.
+func TestGCDropsCacheBeforeIndexReuse(t *testing.T) {
+	k := NewKernel(Options{Levels: 8, Engine: EngineDF, GC: GCCompact, GCMinNodes: 1 << 40})
+	z := k.Pin(k.VarRef(0)) // level 0, index 0, never moves
+	rng := rand.New(rand.NewSource(11))
+	randFn := func() node.Ref { // a function of variables 1..5
+		f := node.Zero
+		for i := 0; i < 4; i++ {
+			lit := k.VarRef(1 + rng.Intn(5))
+			if rng.Intn(2) == 0 {
+				lit = k.Not(lit)
+			}
+			f = k.Apply(Op(rng.Intn(3)), f, lit)
+			k.Pin(f)
+		}
+		return f
+	}
+	var fns []node.Ref
+	for len(fns) < 64 {
+		if a, b := randFn(), randFn(); a != b {
+			fns = append(fns, k.Pin(k.MkNode(0, a, b)).Ref())
+		}
+	}
+	for i, f := range fns {
+		for _, g := range fns[i+1:] {
+			for op := OpAnd; op <= OpXor; op++ {
+				k.Pin(k.Apply(op, f, g)) // every node stays live
+			}
+		}
+	}
+
+	x := k.MkNode(7, node.Zero, node.One)        // var7: dies
+	y := k.Pin(k.MkNode(7, node.One, node.Zero)) // not var7: slides into x's slot
+	stale := k.Pin(k.Apply(OpAnd, z.Ref(), y.Ref()))
+	zOld, yOld, staleOld := z.Ref(), y.Ref(), stale.Ref()
+	k.GC()
+	if z.Ref() != zOld || stale.Ref() != staleOld || y.Ref() != x {
+		t.Fatalf("compaction moved z %v→%v, and(z,y) %v→%v, y %v→%v; want only y moved, onto x %v",
+			zOld, z.Ref(), staleOld, stale.Ref(), yOld, y.Ref(), x)
+	}
+	xNew := k.MkNode(7, node.Zero, node.One)
+	if xNew != yOld {
+		t.Fatalf("fresh var7 took index %v, want y's old %v", xNew, yOld)
+	}
+
+	got := k.CanonicalSignature([]node.Ref{k.Apply(OpAnd, z.Ref(), xNew)})
+	fresh := NewKernel(Options{Levels: 8, Engine: EngineDF})
+	want := fresh.CanonicalSignature([]node.Ref{fresh.Apply(OpAnd, fresh.VarRef(0), fresh.VarRef(7))})
+	if !slices.Equal(got, want) {
+		t.Fatalf("and(var0, var7) after GC has signature %v, a fresh kernel %v: the cache kept a pre-GC entry", got, want)
 	}
 }

@@ -77,6 +77,16 @@ func (p GCPolicy) String() string {
 	return "compact"
 }
 
+// ParseGCPolicy returns the policy whose String is name.
+func ParseGCPolicy(name string) (GCPolicy, error) {
+	for _, p := range []GCPolicy{GCCompact, GCFreeList} {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown gc policy %q", name)
+}
+
 // Options configures a Kernel.
 type Options struct {
 	// Levels is the number of Boolean variables (levels).

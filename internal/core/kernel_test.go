@@ -22,6 +22,21 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
+// TestParseGCPolicy round-trips every policy through String and
+// ParseGCPolicy, and rejects names no policy has.
+func TestParseGCPolicy(t *testing.T) {
+	for _, p := range []GCPolicy{GCCompact, GCFreeList} {
+		if got, err := ParseGCPolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParseGCPolicy(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	for _, name := range []string{"", "nope", "Compact", "free-list"} {
+		if p, err := ParseGCPolicy(name); err == nil {
+			t.Errorf("ParseGCPolicy(%q) = %v, want an error", name, p)
+		}
+	}
+}
+
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{Levels: 4}.withDefaults()
 	if o.Workers != 1 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"bfbdd/internal/stats"
 )
@@ -45,8 +44,71 @@ func dashes(n int) string {
 	return string(b)
 }
 
-// matrix prints a procs × circuits table with a per-cell formatter.
-func (rs ResultSet) matrix(w io.Writer, cell func(*Result) string) {
+// modelMark ends a figure row whose processor count is above the
+// GOMAXPROCS its run recorded: the row comes from the Model, since the
+// run could not measure that many processors working in parallel.
+const modelMark = " (model)"
+
+// measured reports whether r's times measure its processor count.
+func measured(r *Result) bool { return r.Workers <= r.GOMAXPROCS }
+
+// modelOf calibrates the Model on a circuit's Seq run, if it has one.
+func modelOf(byProc map[int]*Result) *Model {
+	if seq := byProc[0]; seq != nil {
+		return NewModel(seq)
+	}
+	return nil
+}
+
+// phasesOf returns the first processor's measured phase times.
+func phasesOf(r *Result) PhaseTimes {
+	w := &r.Worker0
+	return PhaseTimes{
+		Expansion: w.PhaseTime(stats.PhaseExpansion).Seconds(),
+		Reduction: w.PhaseTime(stats.PhaseReduction).Seconds(),
+		GCMark:    w.PhaseTime(stats.PhaseGCMark).Seconds(),
+		GCFix:     w.PhaseTime(stats.PhaseGCFix).Seconds(),
+		GCRehash:  w.PhaseTime(stats.PhaseGCRehash).Seconds(),
+	}
+}
+
+// phaseRow returns the phase times a figure row prints for r, and the
+// row's ending: r's first processor as measured, or the Model's
+// prediction marked (model). ok is false for a modeled row with no
+// Model, which the row prints as "-".
+func phaseRow(r *Result, m *Model) (t PhaseTimes, mark string, ok bool) {
+	if measured(r) {
+		return phasesOf(r), "", true
+	}
+	if m == nil {
+		return PhaseTimes{}, modelMark, false
+	}
+	return m.Predict(r), modelMark, true
+}
+
+// speedupRow returns a Figure 14 or 19 row's one-processor phase times,
+// the P-processor times they are divided by, and the row's ending: both
+// as measured, or both from the Model on a row marked (model).
+func speedupRow(one, r *Result, m *Model) (base, t PhaseTimes, mark string) {
+	t, mark, ok := phaseRow(r, m)
+	base = phasesOf(one)
+	if mark != "" && ok {
+		base = m.Predict(one)
+	}
+	return base, t, mark
+}
+
+// ratio formats num/den, or "-" when den is zero.
+func ratio(num, den float64) string {
+	if den == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.2f", num/den)
+}
+
+// matrix prints a procs × circuits table with a per-cell formatter. With
+// markModeled set, a row with a run that is not measured ends in (model).
+func (rs ResultSet) matrix(w io.Writer, markModeled bool, cell func(*Result) string) {
 	circuits := rs.Circuits()
 	fmt.Fprintf(w, "%-8s", "# Procs")
 	for _, c := range circuits {
@@ -60,15 +122,19 @@ func (rs ResultSet) matrix(w io.Writer, cell func(*Result) string) {
 	}
 	for _, p := range procs {
 		fmt.Fprintf(w, "%-8s", ProcLabel(p))
+		mark := ""
 		for _, c := range circuits {
 			r := rs[c][p]
 			if r == nil {
 				fmt.Fprintf(w, "%12s", "-")
 				continue
 			}
+			if markModeled && !measured(r) {
+				mark = modelMark
+			}
 			fmt.Fprintf(w, "%12s", cell(r))
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(w, mark)
 	}
 }
 
@@ -76,15 +142,26 @@ func (rs ResultSet) matrix(w io.Writer, cell func(*Result) string) {
 // (paper Figure 7: "Elapsed Time for building BDDs for each circuit").
 func Fig7(w io.Writer, rs ResultSet) {
 	header(w, "Figure 7: Elapsed time (seconds)")
-	rs.matrix(w, func(r *Result) string {
+	rs.matrix(w, false, func(r *Result) string {
 		return fmt.Sprintf("%.2f", r.Elapsed.Seconds())
 	})
 }
 
-// Fig8 prints speedups over the sequential run (paper Figure 8).
+// Fig8 prints speedups over the sequential run (paper Figure 8): the
+// measured wall-clock ratio, or the Model's on rows marked (model).
 func Fig8(w io.Writer, rs ResultSet) {
 	header(w, "Figure 8: Speedup over sequential")
-	rs.matrix(w, func(r *Result) string {
+	modeled := make(map[string]map[int]float64, len(rs))
+	for c, byProc := range rs {
+		modeled[c] = ModeledSpeedups(byProc)
+	}
+	rs.matrix(w, true, func(r *Result) string {
+		if !measured(r) {
+			if s, ok := modeled[r.Circuit][r.Workers]; ok {
+				return fmt.Sprintf("%.2f", s)
+			}
+			return "-"
+		}
 		seq := rs[r.Circuit][0]
 		if seq == nil || r.Elapsed == 0 {
 			return "-"
@@ -97,7 +174,7 @@ func Fig8(w io.Writer, rs ResultSet) {
 // peak split by component.
 func Fig9(w io.Writer, rs ResultSet) {
 	header(w, "Figure 9: Memory usage (MBytes)")
-	rs.matrix(w, func(r *Result) string {
+	rs.matrix(w, false, func(r *Result) string {
 		return fmt.Sprintf("%.1f", float64(r.PeakBytes)/(1<<20))
 	})
 	header(w, "Figure 9 (split): MBytes by component at the peak")
@@ -131,7 +208,7 @@ func Fig10(w io.Writer, rs ResultSet) {
 // (paper Figure 11: "Total Number of Operations").
 func Fig11(w io.Writer, rs ResultSet) {
 	header(w, "Figure 11: Total operations (millions)")
-	rs.matrix(w, func(r *Result) string {
+	rs.matrix(w, false, func(r *Result) string {
 		return fmt.Sprintf("%.2f", float64(r.TotalOps)/1e6)
 	})
 }
@@ -153,23 +230,23 @@ func Fig12(w io.Writer, rs ResultSet) {
 func Fig13(w io.Writer, circuit string, byProc map[int]*Result) {
 	header(w, fmt.Sprintf("Figure 13: Phase breakdown of %s, first processor (seconds)", circuit))
 	fmt.Fprintf(w, "%-8s%12s%12s%10s\n", "# Procs", "Expansion", "Reduction", "GC")
+	m := modelOf(byProc)
 	for _, p := range procsOf(byProc) {
 		if p == 0 {
 			continue // the paper's Figure 13 starts at 1 processor
 		}
-		r := byProc[p]
-		gc := r.Worker0.PhaseTime(stats.PhaseGCMark) +
-			r.Worker0.PhaseTime(stats.PhaseGCFix) +
-			r.Worker0.PhaseTime(stats.PhaseGCRehash)
-		fmt.Fprintf(w, "%-8d%12.2f%12.2f%10.2f\n", p,
-			r.Worker0.PhaseTime(stats.PhaseExpansion).Seconds(),
-			r.Worker0.PhaseTime(stats.PhaseReduction).Seconds(),
-			gc.Seconds())
+		t, mark, ok := phaseRow(byProc[p], m)
+		if !ok {
+			fmt.Fprintf(w, "%-8d%12s%12s%10s%s\n", p, "-", "-", "-", mark)
+			continue
+		}
+		fmt.Fprintf(w, "%-8d%12.2f%12.2f%10.2f%s\n", p, t.Expansion, t.Reduction, t.GC(), mark)
 	}
 }
 
-// Fig14 prints the phase speedups over the one-processor run
-// (paper Figure 14).
+// Fig14 prints the phase speedups over the one-processor run (paper
+// Figure 14). A row marked (model) divides the Model's one-processor
+// times by its P-processor times.
 func Fig14(w io.Writer, circuit string, byProc map[int]*Result) {
 	header(w, fmt.Sprintf("Figure 14: Phase speedups of %s over 1 processor", circuit))
 	one := byProc[1]
@@ -177,30 +254,17 @@ func Fig14(w io.Writer, circuit string, byProc map[int]*Result) {
 		fmt.Fprintln(w, "(no 1-processor run)")
 		return
 	}
-	phase := func(r *Result, ps ...stats.Phase) time.Duration {
-		var total time.Duration
-		for _, p := range ps {
-			total += r.Worker0.PhaseTime(p)
-		}
-		return total
-	}
 	fmt.Fprintf(w, "%-8s%12s%12s%10s\n", "# Procs", "Expansion", "Reduction", "GC")
+	m := modelOf(byProc)
 	for _, p := range procsOf(byProc) {
 		if p == 0 {
 			continue
 		}
-		r := byProc[p]
-		ratio := func(ps ...stats.Phase) string {
-			num, den := phase(one, ps...), phase(r, ps...)
-			if den == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.2f", num.Seconds()/den.Seconds())
-		}
-		fmt.Fprintf(w, "%-8d%12s%12s%10s\n", p,
-			ratio(stats.PhaseExpansion),
-			ratio(stats.PhaseReduction),
-			ratio(stats.PhaseGCMark, stats.PhaseGCFix, stats.PhaseGCRehash))
+		base, t, mark := speedupRow(one, byProc[p], m)
+		fmt.Fprintf(w, "%-8d%12s%12s%10s%s\n", p,
+			ratio(base.Expansion, t.Expansion),
+			ratio(base.Reduction, t.Reduction),
+			ratio(base.GC(), t.GC()), mark)
 	}
 }
 
@@ -256,24 +320,33 @@ func Fig16(w io.Writer, circuit string, byProc map[int]*Result) {
 }
 
 // Fig17 prints the lock wait as a fraction of the reduction phase time
-// (paper Figure 17).
+// (paper Figure 17). A row marked (model) prints only the Model's ratio.
 func Fig17(w io.Writer, circuit string, byProc map[int]*Result) {
 	header(w, fmt.Sprintf("Figure 17: Lock wait / reduction time, %s", circuit))
 	fmt.Fprintf(w, "%-8s%14s%14s%10s\n", "# Procs", "lock (s)", "reduce (s)", "ratio")
+	m := modelOf(byProc)
 	for _, p := range procsOf(byProc) {
 		if p == 0 {
 			continue
 		}
 		r := byProc[p]
+		if !measured(r) {
+			lr := "-"
+			if m != nil {
+				lr = fmt.Sprintf("%.3f", m.LockRatio(r))
+			}
+			fmt.Fprintf(w, "%-8d%14s%14s%10s%s\n", p, "-", "-", lr, modelMark)
+			continue
+		}
 		lock := r.LockWaitTotal()
 		// Reduction time summed across workers, matching the total lock
 		// wait which is also summed across workers.
 		reduce := r.AllWorkers.PhaseTime(stats.PhaseReduction)
-		ratio := "-"
+		lr := "-"
 		if reduce > 0 {
-			ratio = fmt.Sprintf("%.3f", lock.Seconds()/reduce.Seconds())
+			lr = fmt.Sprintf("%.3f", lock.Seconds()/reduce.Seconds())
 		}
-		fmt.Fprintf(w, "%-8d%14.4f%14.4f%10s\n", p, lock.Seconds(), reduce.Seconds(), ratio)
+		fmt.Fprintf(w, "%-8d%14.4f%14.4f%10s\n", p, lock.Seconds(), reduce.Seconds(), lr)
 	}
 }
 
@@ -294,8 +367,8 @@ func Fig18(w io.Writer, circuit string, byProc map[int]*Result) {
 	}
 }
 
-// Fig19 prints the GC phase speedups over the one-processor run
-// (paper Figure 19).
+// Fig19 prints the GC phase speedups over the one-processor run (paper
+// Figure 19), modeled like Figure 14 on rows marked (model).
 func Fig19(w io.Writer, circuit string, byProc map[int]*Result) {
 	header(w, fmt.Sprintf("Figure 19: GC phase speedups of %s over 1 processor", circuit))
 	one := byProc[1]
@@ -304,20 +377,14 @@ func Fig19(w io.Writer, circuit string, byProc map[int]*Result) {
 		return
 	}
 	fmt.Fprintf(w, "%-8s%10s%10s%10s\n", "# Procs", "Mark", "Fix", "Rehash")
+	m := modelOf(byProc)
 	for _, p := range procsOf(byProc) {
 		if p == 0 {
 			continue
 		}
-		r := byProc[p]
-		ratio := func(ph stats.Phase) string {
-			den := r.Worker0.PhaseTime(ph)
-			if den == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.2f", one.Worker0.PhaseTime(ph).Seconds()/den.Seconds())
-		}
-		fmt.Fprintf(w, "%-8d%10s%10s%10s\n", p,
-			ratio(stats.PhaseGCMark), ratio(stats.PhaseGCFix), ratio(stats.PhaseGCRehash))
+		base, t, mark := speedupRow(one, byProc[p], m)
+		fmt.Fprintf(w, "%-8d%10s%10s%10s%s\n", p,
+			ratio(base.GCMark, t.GCMark), ratio(base.GCFix, t.GCFix), ratio(base.GCRehash, t.GCRehash), mark)
 	}
 }
 

@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -62,17 +63,13 @@ type Config struct {
 	Circuit string
 	// Workers is the processor count; 0 requests the sequential
 	// configuration (the paper's "Seq" row: partial breadth-first with no
-	// unique-table locking and more aggressive GC checks).
+	// unique-table locking and more aggressive GC checks). Workers > 0
+	// runs the parallel engine.
 	Workers int
-	// Engine overrides the engine when UseEngine is set (ablations);
-	// otherwise EnginePBF is used for Workers == 0 and EnginePar above.
-	Engine    core.Engine
-	UseEngine bool
-	// EvalThreshold, GroupSize, CacheBits tune the partial breadth-first
+	// EvalThreshold and GroupSize tune the partial breadth-first
 	// machinery (defaults applied by the kernel when zero).
 	EvalThreshold int
 	GroupSize     int
-	CacheBits     uint
 	// GC selects the collector policy.
 	GC core.GCPolicy
 	// DisableStealing turns work stealing off (ablation).
@@ -80,19 +77,6 @@ type Config struct {
 	// Order selects the variable ordering (default order.DFS, as the
 	// paper uses SIS order_dfs).
 	Order order.Method
-	// OrderSeed seeds order.Shuffle.
-	OrderSeed int64
-}
-
-// engineFor resolves the effective engine.
-func (c Config) engineFor() core.Engine {
-	if c.UseEngine {
-		return c.Engine
-	}
-	if c.Workers > 0 {
-		return core.EnginePar
-	}
-	return core.EnginePBF
 }
 
 // Result holds the measurements of one run.
@@ -100,6 +84,10 @@ type Result struct {
 	Config  Config
 	Circuit string
 	Workers int
+	// GOMAXPROCS is runtime.GOMAXPROCS(0) during the run: a run with
+	// more workers than that cannot measure their parallel speedup, so
+	// the figures model it instead (see model.go).
+	GOMAXPROCS int
 
 	Elapsed time.Duration
 
@@ -114,11 +102,8 @@ type Result struct {
 	// Worker0 carries the first processor's phase breakdown (Figures 13
 	// and 18 report the first processor's workload).
 	Worker0 stats.Worker
-	// AllWorkers sums counters across workers; PerWorker keeps each
-	// worker's counters (the analytic multiprocessor model needs the
-	// distribution — see model.go).
+	// AllWorkers sums counters across workers.
 	AllWorkers stats.Worker
-	PerWorker  []stats.Worker
 
 	// SerializedPerVar counts unique-table FindOrAdd operations (hits and
 	// insertions) per variable: the work serialized by that variable's
@@ -156,17 +141,19 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	levels := order.Compute(circ, cfg.Order, cfg.OrderSeed)
+	levels := order.Compute(circ, cfg.Order, 0)
 
 	opts := core.Options{
 		Levels:        circ.NumInputs(),
-		Engine:        cfg.engineFor(),
+		Engine:        core.EnginePBF,
 		Workers:       cfg.Workers,
 		EvalThreshold: cfg.EvalThreshold,
 		GroupSize:     cfg.GroupSize,
-		CacheBits:     cfg.CacheBits,
 		GC:            cfg.GC,
 		Stealing:      !cfg.DisableStealing,
+	}
+	if cfg.Workers > 0 {
+		opts.Engine = core.EnginePar
 	}
 	if opts.EvalThreshold == 0 {
 		// The paper sets the evaluation threshold to a small fraction of
@@ -179,7 +166,7 @@ func Run(cfg Config) (*Result, error) {
 		// The paper's sequential configuration checks the GC condition
 		// more aggressively than the parallel one (after each reduction
 		// phase rather than at top-level barriers); model that with a
-		// lower growth factor (DESIGN.md §2, substitution 4).
+		// lower growth factor (DESIGN.md §2, substitution 5).
 		opts.GCGrowth = 1.6
 	} else {
 		opts.GCGrowth = 2.0
@@ -194,24 +181,18 @@ func Run(cfg Config) (*Result, error) {
 	elapsed := time.Since(start)
 
 	r := &Result{
-		Config:    cfg,
-		Circuit:   cfg.Circuit,
-		Workers:   cfg.Workers,
-		Elapsed:   elapsed,
-		Worker0:   *k.WorkerStats(0),
-		LiveNodes: k.NumNodes(),
-		GCCount:   k.Memory().GCCount,
+		Config:     cfg,
+		Circuit:    cfg.Circuit,
+		Workers:    cfg.Workers,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Elapsed:    elapsed,
+		Worker0:    *k.WorkerStats(0),
+		LiveNodes:  k.NumNodes(),
+		GCCount:    k.Memory().GCCount,
 	}
 	r.AllWorkers = k.TotalStats()
 	r.TotalOps = r.AllWorkers.Ops
 	r.PeakBytes, r.AtPeak = k.Memory().PeakBytes, k.Memory().AtPeak
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
-		r.PerWorker = append(r.PerWorker, *k.WorkerStats(w))
-	}
 	for l := 0; l < k.Levels(); l++ {
 		t := k.Table(l)
 		r.LockWaitPerVar = append(r.LockWaitPerVar, t.LockWait())

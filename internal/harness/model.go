@@ -1,31 +1,26 @@
 package harness
 
-import (
-	"fmt"
-	"io"
-	"time"
+import "bfbdd/internal/stats"
 
-	"bfbdd/internal/stats"
-)
-
-// This file implements the analytic multiprocessor model used when the
-// host cannot provide real parallel hardware (the paper's experiments ran
-// on a 12-processor SGI Power Challenge; see DESIGN.md §2, substitution
-// 1). The parallel engine still runs for real — goroutines, per-variable
-// locks, work stealing and all — so every *structural* quantity is
-// genuinely measured: how many Shannon expansions each worker performed,
-// how many operator nodes each worker reduced, and how many unique-table
-// insertions landed on each variable. On a single-core host those
-// measurements are valid but wall-clock speedup is physically impossible,
-// so the model converts the measured work distributions into the elapsed
-// times an ideal P-processor machine would see:
+// Model is the analytic multiprocessor model behind the figure rows the
+// host cannot measure. The paper's experiments ran on a 12-processor SGI
+// Power Challenge (DESIGN.md §2, substitution 4); a run here can measure
+// P-processor parallelism only up to the GOMAXPROCS it recorded, so each
+// of Figures 8, 13, 14, 17 and 19 prints its rows with more workers than
+// that from this model, marked "(model)". Those runs still execute for
+// real (goroutines, per-variable locks, work stealing), so every
+// structural quantity the model reads is measured: how many Shannon
+// expansions the workers performed, how many operator nodes they
+// reduced, and how many unique-table insertions landed on each variable.
+// The model converts those counts into the elapsed times an ideal
+// P-processor machine would see:
 //
 //   - Expansion is lock-free (per-worker caches and operator arenas), so
-//     its modeled time is the *maximum* per-worker expansion work — the
+//     its modeled time is the total expansion work divided by P — the
 //     paper's near-linear phase.
 //   - Reduction serializes unique-table insertions per variable, so its
-//     modeled time is bounded below by both the maximum per-worker
-//     reduction work and the maximum per-variable insertion count — the
+//     modeled time is bounded below by both the balanced per-worker
+//     reduction work and the busiest variable's unique-table traffic — the
 //     clustering of nodes on few variables (Figure 15) is exactly what
 //     makes the second bound dominate at higher processor counts,
 //     reproducing the paper's reduction bottleneck (Figures 16/17).
@@ -85,9 +80,9 @@ func (p PhaseTimes) GC() float64 { return p.GCMark + p.GCFix + p.GCRehash }
 // Figure 11 effect) and the per-variable insertion counts (whose
 // clustering is the paper's reduction bottleneck). Work distribution
 // across workers is assumed balanced, which is what dynamic stealing is
-// for and what the paper observed for the expansion phase; on a 1-core
-// host the raw per-worker split cannot be used because the Go scheduler
-// starves the thieves.
+// for and what the paper observed for the expansion phase; with more
+// workers than Go processors the raw per-worker split cannot be used,
+// because the Go scheduler starves the thieves.
 func (m *Model) Predict(r *Result) PhaseTimes {
 	procs := r.Workers
 	if procs == 0 {
@@ -140,24 +135,6 @@ func (m *Model) LockRatio(r *Result) float64 {
 	return (crit - totalRed/P) / crit
 }
 
-// Fig17Modeled prints the modeled lock-wait fraction of the reduction
-// phase per processor count.
-func Fig17Modeled(w io.Writer, circuit string, byProc map[int]*Result) {
-	seq := byProc[0]
-	if seq == nil {
-		return
-	}
-	m := NewModel(seq)
-	header(w, fmt.Sprintf("Figure 17 (modeled): Lock wait / reduction time, %s", circuit))
-	fmt.Fprintf(w, "%-8s%10s\n", "# Procs", "ratio")
-	for _, p := range procsOf(byProc) {
-		if p == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%-8d%10.3f\n", p, m.LockRatio(byProc[p]))
-	}
-}
-
 // ModeledSpeedups returns, for every processor count in byProc, the
 // modeled overall speedup over the sequential run.
 func ModeledSpeedups(byProc map[int]*Result) map[int]float64 {
@@ -176,118 +153,3 @@ func ModeledSpeedups(byProc map[int]*Result) map[int]float64 {
 	}
 	return out
 }
-
-// Fig8Modeled prints the modeled speedup table: the single-core-host
-// substitute for the paper's Figure 8 (see the comment at the top of this
-// file and EXPERIMENTS.md).
-func Fig8Modeled(w io.Writer, rs ResultSet) {
-	header(w, "Figure 8 (modeled): Speedup over sequential on an ideal P-processor machine")
-	circuits := rs.Circuits()
-	speed := make(map[string]map[int]float64, len(circuits))
-	for _, c := range circuits {
-		speed[c] = ModeledSpeedups(rs[c])
-	}
-	fmt.Fprintf(w, "%-8s", "# Procs")
-	for _, c := range circuits {
-		fmt.Fprintf(w, "%12s", c)
-	}
-	fmt.Fprintln(w)
-	var procs []int
-	for _, c := range circuits {
-		procs = procsOf(rs[c])
-		break
-	}
-	for _, p := range procs {
-		fmt.Fprintf(w, "%-8s", ProcLabel(p))
-		for _, c := range circuits {
-			if s, ok := speed[c][p]; ok {
-				fmt.Fprintf(w, "%12.2f", s)
-			} else {
-				fmt.Fprintf(w, "%12s", "-")
-			}
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// Fig13Modeled prints the modeled per-phase breakdown for one circuit
-// (single-core-host substitute for the measured Figure 13).
-func Fig13Modeled(w io.Writer, circuit string, byProc map[int]*Result) {
-	seq := byProc[0]
-	if seq == nil {
-		return
-	}
-	m := NewModel(seq)
-	header(w, fmt.Sprintf("Figure 13 (modeled): Phase breakdown of %s on an ideal machine (seconds)", circuit))
-	fmt.Fprintf(w, "%-8s%12s%12s%10s\n", "# Procs", "Expansion", "Reduction", "GC")
-	for _, p := range procsOf(byProc) {
-		if p == 0 {
-			continue
-		}
-		t := m.Predict(byProc[p])
-		fmt.Fprintf(w, "%-8d%12.2f%12.2f%10.2f\n", p, t.Expansion, t.Reduction, t.GC())
-	}
-}
-
-// Fig14Modeled prints modeled phase speedups over the 1-processor run.
-func Fig14Modeled(w io.Writer, circuit string, byProc map[int]*Result) {
-	seq, one := byProc[0], byProc[1]
-	if seq == nil || one == nil {
-		return
-	}
-	m := NewModel(seq)
-	base := m.Predict(one)
-	header(w, fmt.Sprintf("Figure 14 (modeled): Phase speedups of %s over 1 processor", circuit))
-	fmt.Fprintf(w, "%-8s%12s%12s%10s\n", "# Procs", "Expansion", "Reduction", "GC")
-	for _, p := range procsOf(byProc) {
-		if p == 0 {
-			continue
-		}
-		t := m.Predict(byProc[p])
-		ratio := func(num, den float64) string {
-			if den == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.2f", num/den)
-		}
-		fmt.Fprintf(w, "%-8d%12s%12s%10s\n", p,
-			ratio(base.Expansion, t.Expansion),
-			ratio(base.Reduction, t.Reduction),
-			ratio(base.GC(), t.GC()))
-	}
-}
-
-// Fig19Modeled prints modeled GC phase speedups over the 1-processor run.
-func Fig19Modeled(w io.Writer, circuit string, byProc map[int]*Result) {
-	seq, one := byProc[0], byProc[1]
-	if seq == nil || one == nil {
-		return
-	}
-	m := NewModel(seq)
-	base := m.Predict(one)
-	header(w, fmt.Sprintf("Figure 19 (modeled): GC phase speedups of %s over 1 processor", circuit))
-	fmt.Fprintf(w, "%-8s%10s%10s%10s\n", "# Procs", "Mark", "Fix", "Rehash")
-	for _, p := range procsOf(byProc) {
-		if p == 0 {
-			continue
-		}
-		t := m.Predict(byProc[p])
-		ratio := func(num, den float64) string {
-			if den == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.2f", num/den)
-		}
-		fmt.Fprintf(w, "%-8d%10s%10s%10s\n", p,
-			ratio(base.GCMark, t.GCMark),
-			ratio(base.GCFix, t.GCFix),
-			ratio(base.GCRehash, t.GCRehash))
-	}
-}
-
-// HostParallel reports whether the host can execute workers in parallel,
-// deciding whether measured or modeled speedups are meaningful.
-func HostParallel(gomaxprocs int) bool { return gomaxprocs > 1 }
-
-// FormatDuration renders a duration at millisecond precision for reports.
-func FormatDuration(d time.Duration) string { return d.Round(time.Millisecond).String() }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"strings"
 	"testing"
 
 	"bfbdd/internal/stats"
@@ -118,31 +117,5 @@ func TestModeledSpeedupsEndToEnd(t *testing.T) {
 	}
 	if sp[4] > 4.2 {
 		t.Fatalf("4-proc modeled speedup = %.2f exceeds processor count", sp[4])
-	}
-}
-
-func TestModeledFigureFormatting(t *testing.T) {
-	byProc, err := Sweep("mult-5", []int{0, 1, 2}, Config{EvalThreshold: 128, GroupSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := ResultSet{"mult-5": byProc}
-	var sb strings.Builder
-	Fig8Modeled(&sb, rs)
-	Fig13Modeled(&sb, "mult-5", byProc)
-	Fig14Modeled(&sb, "mult-5", byProc)
-	Fig17Modeled(&sb, "mult-5", byProc)
-	Fig19Modeled(&sb, "mult-5", byProc)
-	out := sb.String()
-	for _, frag := range []string{"modeled", "ideal", "# Procs", "ratio"} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("modeled figures missing %q:\n%s", frag, out)
-		}
-	}
-}
-
-func TestHostParallel(t *testing.T) {
-	if HostParallel(1) || !HostParallel(2) {
-		t.Fatal("HostParallel misclassifies")
 	}
 }

@@ -51,9 +51,9 @@ func benchPost(b *testing.B, url string, body string) map[string]any {
 // budget. The default/* variants run the server as deployed (2ms
 // coalesce window), which is the p50 apply latency a client actually
 // observes; the interval-policy delta there is the headline overhead
-// exported into BENCH_7.json. The raw/* variants floor the coalesce
-// window at 1ns to expose the journaling cost on the bare apply path,
-// without batching slack — a harsher, secondary number.
+// the README's durability matrix quotes. The raw/* variants floor the
+// coalesce window at 1ns to expose the journaling cost on the bare apply
+// path, without batching slack — a harsher, secondary number.
 func BenchmarkServerApply(b *testing.B) {
 	mk := func(window time.Duration, sync string) func(b *testing.B) Config {
 		return func(b *testing.B) Config {

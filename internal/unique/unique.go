@@ -202,15 +202,20 @@ func (t *Table) place(st *node.Store, ref uint64) {
 	t.slots[i] = fingerprint(h) | ref
 }
 
+// slotsFor is the slot count that holds n entries within 3/4 load.
+func slotsFor(n uint64) uint64 {
+	s := uint64(minSlots)
+	for s*3 < n*4 {
+		s *= 2
+	}
+	return s
+}
+
 // ResetBuckets empties the table in preparation for the rehash phase of a
 // compacting collection, sized so that sizeHint entries stay within 3/4
 // load. Exclusivity is guaranteed by the GC barrier, not the lock.
 func (t *Table) ResetBuckets(sizeHint uint64) {
-	n := uint64(minSlots)
-	for n*3 < sizeHint*4 {
-		n *= 2
-	}
-	if uint64(len(t.slots)) != n {
+	if n := slotsFor(sizeHint); uint64(len(t.slots)) != n {
 		t.slots = make([]uint64, n)
 	} else {
 		clear(t.slots)
@@ -233,21 +238,27 @@ func (t *Table) Insert(st *node.Store, r node.Ref) {
 
 // RemoveUnmarked drops every node whose arena mark bit is clear
 // (free-list GC sweep), invoking free for each removed ref, and re-places
-// the survivors in a fresh slot array of the same size. Exclusivity is
-// guaranteed by the GC barrier.
+// the survivors in a fresh slot array sized for them as ResetBuckets
+// sizes one. Exclusivity is guaranteed by the GC barrier.
 func (t *Table) RemoveUnmarked(st *node.Store, free func(node.Ref)) {
-	old := t.slots
-	t.slots = make([]uint64, len(old))
-	for _, s := range old {
+	if len(t.slots) == 0 {
+		return
+	}
+	live := t.slots[:0] // survivors overwrite slots already read
+	for _, s := range t.slots {
 		if s == 0 {
 			continue
 		}
 		r := t.level | node.Ref(s&refMask)
 		if st.Arena(r.Worker(), r.Level()).Marked(r.Index()) {
-			t.place(st, s&refMask)
+			live = append(live, s)
 		} else {
-			t.count--
 			free(r)
 		}
+	}
+	t.count = uint64(len(live))
+	t.slots = make([]uint64, slotsFor(t.count))
+	for _, s := range live {
+		t.place(st, s&refMask)
 	}
 }

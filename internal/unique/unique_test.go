@@ -166,6 +166,38 @@ func TestRemoveUnmarked(t *testing.T) {
 	}
 }
 
+// TestRemoveUnmarkedShrinks checks that a free-list sweep sizes the
+// survivors' slot array as ResetBuckets would: a sweep that leaves no
+// survivors returns the table to its minimum size.
+func TestRemoveUnmarkedShrinks(t *testing.T) {
+	for _, kept := range []int{0, 1, 100, 1000} {
+		st := node.NewStore(1, 1)
+		var tab Table
+		tab.Lock()
+		for i := 0; i < 1000; i++ {
+			tab.FindOrAdd(st, 0, 0, node.Zero, node.MakeRef(0, 0, uint64(i+1000)))
+		}
+		tab.Unlock()
+		grown := tab.Bytes()
+		ar := st.Arena(0, 0)
+		ar.PrepareMarks()
+		for i := 0; i < kept; i++ {
+			word, bit := ar.MarkWord(uint64(i))
+			*word |= bit
+		}
+		tab.RemoveUnmarked(st, func(node.Ref) {})
+		var sized Table
+		sized.ResetBuckets(uint64(kept))
+		if tab.Count() != uint64(kept) || tab.Bytes() != sized.Bytes() {
+			t.Errorf("kept %d of 1000: Count %d, Bytes %d (was %d), want Bytes %d",
+				kept, tab.Count(), tab.Bytes(), grown, sized.Bytes())
+		}
+		if kept == 0 && tab.Bytes() != minSlots*8 {
+			t.Errorf("empty sweep left %d bytes, want %d", tab.Bytes(), minSlots*8)
+		}
+	}
+}
+
 func TestResetBucketsAndInsert(t *testing.T) {
 	st := node.NewStore(1, 1)
 	var tab Table
