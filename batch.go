@@ -78,9 +78,9 @@ func (m *Manager) ApplyBatch(ops []BatchOp) []*BDD {
 // for the rest. The completed handles are fully usable.
 func (m *Manager) ApplyBatchCtx(ctx context.Context, ops []BatchOp) ([]*BDD, error) {
 	bin := m.binOps(ops)
-	finish := m.traceBuild(ctx)
+	b := m.startBuild(ctx)
 	refs, err := m.k.ApplyBatchCtx(ctx, bin)
-	finish()
+	m.endBuild(b)
 	if err != nil {
 		if len(refs) == 0 {
 			return nil, err
@@ -110,9 +110,9 @@ func (m *Manager) ApplyCtx(ctx context.Context, kind BatchOpKind, f, g *BDD) (*B
 	if f.m != m {
 		panic("bfbdd: ApplyCtx operand from another manager")
 	}
-	finish := m.traceBuild(ctx)
+	b := m.startBuild(ctx)
 	r, err := m.k.ApplyCtx(ctx, kind.op(), f.ref(), g.ref())
-	finish()
+	m.endBuild(b)
 	if err != nil {
 		return nil, err
 	}

@@ -34,7 +34,6 @@ func benchRun(c *cli, args []string) error {
 		groupSize = fs.Int("groupsize", 0, "steal group size (0 = default)")
 		gcPolicy  = fs.String("gc", "compact", "garbage collector: compact or freelist")
 		orderFlag = fs.String("order", "dfs", "variable order: dfs, identity, interleave, reverse, shuffle")
-		noSteal   = fs.Bool("nosteal", false, "disable work stealing")
 		outFile   = fs.String("o", "", "write report to file")
 	)
 	if err := parseFlags(fs, args); err != nil {
@@ -70,9 +69,8 @@ func benchRun(c *cli, args []string) error {
 		return err
 	}
 	base := harness.Config{
-		EvalThreshold:   *threshold,
-		GroupSize:       *groupSize,
-		DisableStealing: *noSteal,
+		EvalThreshold: *threshold,
+		GroupSize:     *groupSize,
 	}
 	if base.GC, err = core.ParseGCPolicy(*gcPolicy); err != nil {
 		return usageError(err.Error())

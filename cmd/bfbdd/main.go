@@ -47,7 +47,7 @@ const usageText = `usage:
                                          differential fuzzing of every engine; exit 1 on a divergence
   bfbdd oracle -replay file              re-run a recorded divergence
   bfbdd bench [-full] [-circuits list] [-detail name] [-procs list] [-figs list]
-              [-threshold n] [-groupsize n] [-gc compact|freelist] [-order m] [-nosteal] [-o file]
+              [-threshold n] [-groupsize n] [-gc compact|freelist] [-order m] [-o file]
                                          the paper's Figures 7-19; rows with more workers
                                          than GOMAXPROCS are modeled and marked (model)
 

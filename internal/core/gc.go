@@ -76,13 +76,9 @@ func (k *Kernel) GC() {
 	// Phase-time snapshot for the gc span of a traced build: the delta
 	// across the collection attributes the three sub-phase times (summed
 	// over workers) to this specific collection.
-	var gcBefore [stats.NumPhases]int64
+	var before stats.Worker
 	if k.btr != nil {
-		for _, w := range k.workers {
-			for p := stats.PhaseGCMark; p <= stats.PhaseGCRehash; p++ {
-				gcBefore[p] += w.st.PhaseNs[p]
-			}
-		}
+		before = k.TotalStats()
 	}
 	if k.opts.GC == GCFreeList {
 		k.gcFreeList()
@@ -101,16 +97,12 @@ func (k *Kernel) GC() {
 	k.mem.LastLiveNds = k.gcLiveAfter
 	k.sampleMemory()
 	if k.btr != nil {
-		var gcAfter [stats.NumPhases]int64
-		for _, w := range k.workers {
-			for p := stats.PhaseGCMark; p <= stats.PhaseGCRehash; p++ {
-				gcAfter[p] += w.st.PhaseNs[p]
-			}
-		}
+		after := k.TotalStats()
+		phase := func(p stats.Phase) int64 { return int64(after.PhaseTime(p) - before.PhaseTime(p)) }
 		k.btr.Add(k.btrParent, "gc", t0, time.Now(),
-			trace.I("mark_ns", gcAfter[stats.PhaseGCMark]-gcBefore[stats.PhaseGCMark]),
-			trace.I("fix_ns", gcAfter[stats.PhaseGCFix]-gcBefore[stats.PhaseGCFix]),
-			trace.I("rehash_ns", gcAfter[stats.PhaseGCRehash]-gcBefore[stats.PhaseGCRehash]),
+			trace.I("mark_ns", phase(stats.PhaseGCMark)),
+			trace.I("fix_ns", phase(stats.PhaseGCFix)),
+			trace.I("rehash_ns", phase(stats.PhaseGCRehash)),
 			trace.I("live_after", int64(k.gcLiveAfter)))
 	}
 }
@@ -277,7 +269,7 @@ func (k *Kernel) rehashWorker(w int) {
 		remaining = kept
 		if !progressed && len(remaining) > 0 {
 			lvl := remaining[0]
-			k.tables[lvl].Lock()
+			k.workers[w].st.LockWaitNs += int64(k.tables[lvl].Lock())
 			insert(lvl)
 			k.tables[lvl].Unlock()
 			remaining = remaining[1:]

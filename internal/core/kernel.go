@@ -306,7 +306,7 @@ func (k *Kernel) mkNode(worker, level int, low, high node.Ref) node.Ref {
 	k.pinLevel(level) // FindOrAdd may allocate into this level's arena
 	t := &k.tables[level]
 	if k.opts.Locking {
-		t.Lock()
+		k.workers[worker].st.LockWaitNs += int64(t.Lock())
 		defer t.Unlock()
 	}
 	return t.FindOrAdd(k.store, worker, level, low, high)
@@ -418,8 +418,9 @@ func (k *Kernel) ReleaseGC() {
 	k.gcInhibit--
 }
 
-// NumNodes returns the current live node count.
-func (k *Kernel) NumNodes() uint64 { return k.store.NumNodes() }
+// NumNodes returns the current live node count, in O(workers): outside
+// a collection the store's allocation counters are exact (see ApproxLive).
+func (k *Kernel) NumNodes() uint64 { return k.store.ApproxLive() }
 
 // sampleMemory refreshes the memory accounting and peak.
 func (k *Kernel) sampleMemory() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 	"unsafe"
 
 	"bfbdd/internal/node"
@@ -109,6 +110,69 @@ func TestKernelAccessors(t *testing.T) {
 	k.Unpin(p)
 	if k.NumPins() != 0 {
 		t.Fatal("unpin accounting wrong")
+	}
+}
+
+// TestKernelTotalsMatchPerLevel checks the totals a build report reads
+// without walking the levels against the per-level figures they stand
+// for: NumNodes against the arenas' live counts across parallel builds
+// and collections under both policies, and the workers' lock wait
+// against the tables' own, with a level's table held while a build and
+// a variable creation wait for it.
+func TestKernelTotalsMatchPerLevel(t *testing.T) {
+	for _, gc := range []GCPolicy{GCCompact, GCFreeList} {
+		k := NewKernel(Options{Levels: 10, Engine: EnginePar, Workers: 2, GC: gc})
+		acc := node.Zero
+		for v := 0; v < 10; v++ {
+			acc = k.Apply(OpXor, acc, k.Apply(OpAnd, k.VarRef(v), k.VarRef((v+3)%10)))
+			if k.NumNodes() != k.Store().NumNodes() {
+				t.Fatalf("%v: NumNodes %d, arenas hold %d after build %d", gc, k.NumNodes(), k.Store().NumNodes(), v)
+			}
+		}
+		p := k.Pin(acc)
+		k.GC()
+		if k.NumNodes() != k.Store().NumNodes() {
+			t.Fatalf("%v: NumNodes %d, arenas hold %d after GC", gc, k.NumNodes(), k.Store().NumNodes())
+		}
+		k.Unpin(p)
+	}
+
+	k := NewKernel(Options{Levels: 4, Engine: EnginePar, Workers: 2})
+	x := []node.Ref{k.VarRef(0), k.VarRef(1), k.VarRef(2), k.VarRef(3)}
+	tableWait := func() (sum time.Duration) {
+		for l := 0; l < k.Levels(); l++ {
+			sum += k.Table(l).LockWait()
+		}
+		return sum
+	}
+	workerWait := func() time.Duration { return time.Duration(k.TotalStats().LockWaitNs) }
+	// Each case reaches level 0's table while the test holds it: a build
+	// (charged in reducePass) and MkNode (charged in mkNode). A case
+	// retries, with operands the compute cache has not seen, until its
+	// goroutine reached the lock before the holder let go.
+	for name, reach := range map[string]func(i int){
+		"build":  func(i int) { k.Apply([]Op{OpAnd, OpOr, OpXor}[i%3], x[0], x[1+i/3]) },
+		"mkNode": func(i int) { k.MkNode(0, x[1], x[2+i%2]) },
+	} {
+		before := workerWait()
+		for i := 0; i < 9 && workerWait() == before; i++ {
+			k.Table(0).Lock()
+			done := make(chan struct{})
+			go func() {
+				reach(i)
+				close(done)
+			}()
+			time.Sleep(time.Millisecond)
+			k.Table(0).Unlock()
+			<-done
+		}
+		if workerWait() == before || workerWait() != tableWait() {
+			t.Fatalf("%s: workers' lock wait %v (was %v), tables' %v", name, workerWait(), before, tableWait())
+		}
+	}
+	k.ResetStats()
+	if workerWait() != 0 || tableWait() != 0 {
+		t.Fatal("lock wait survives ResetStats")
 	}
 }
 

@@ -499,7 +499,7 @@ func (w *worker) reducePass(lvl int, q []opRef) (deferred []opRef) {
 			res = r0
 		} else {
 			if locking && !locked {
-				t.Lock()
+				w.st.LockWaitNs += int64(t.Lock())
 				locked = true
 			}
 			res = t.FindOrAdd(k.store, w.id, lvl, r0, r1)

@@ -72,8 +72,6 @@ type Config struct {
 	GroupSize     int
 	// GC selects the collector policy.
 	GC core.GCPolicy
-	// DisableStealing turns work stealing off (ablation).
-	DisableStealing bool
 	// Order selects the variable ordering (default order.DFS, as the
 	// paper uses SIS order_dfs).
 	Order order.Method
@@ -150,7 +148,7 @@ func Run(cfg Config) (*Result, error) {
 		EvalThreshold: cfg.EvalThreshold,
 		GroupSize:     cfg.GroupSize,
 		GC:            cfg.GC,
-		Stealing:      !cfg.DisableStealing,
+		Stealing:      true,
 	}
 	if cfg.Workers > 0 {
 		opts.Engine = core.EnginePar

@@ -52,10 +52,10 @@ func NewStore(workers, levels int) *Store {
 // unique tables, NewNode) must pair every Alloc with a NoteAlloc.
 func (s *Store) NoteAlloc(worker int) { s.live[worker].n.Add(1) }
 
-// ApproxLive returns the approximate live node count maintained by
-// NoteAlloc/SyncLive. It can drift above the true figure between
-// collections (freed nodes are only reconciled by SyncLive), which is
-// the safe direction for budget enforcement.
+// ApproxLive returns the live node count maintained by NoteAlloc/SyncLive.
+// Only a collection frees nodes, and it ends with SyncLive, so the count
+// is exact everywhere but inside a collection, where it can drift above
+// the true figure (the safe direction for budget enforcement).
 func (s *Store) ApproxLive() uint64 {
 	var total uint64
 	for w := range s.live {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -164,7 +163,7 @@ func (c *coalescer) runBatch(ctx context.Context, calls []*applyCall) {
 	if tr != nil {
 		ctx = trace.NewContext(ctx, tr, batchSpan)
 	}
-	res := c.build(ctx, calls, tr, batchSpan, started)
+	res := c.build(ctx, calls)
 	// Close the batch span before answering anyone: an answered owner
 	// seals its trace, and a span still open then is exported unfinished.
 	tr.End(batchSpan, trace.I("batch_id", batchID), trace.I("ops", int64(len(calls))))
@@ -173,10 +172,9 @@ func (c *coalescer) runBatch(ctx context.Context, calls []*applyCall) {
 	}
 }
 
-// build resolves the calls' handles, runs them as one ApplyBatchCtx and
-// registers the results; it returns each call's answer, index-aligned
-// with calls.
-func (c *coalescer) build(ctx context.Context, calls []*applyCall, tr *trace.Trace, batchSpan trace.SpanID, started time.Time) []applyResult {
+// build resolves the calls' handles and runs them through the session's
+// batch step; it returns each call's answer, index-aligned with calls.
+func (c *coalescer) build(ctx context.Context, calls []*applyCall) []applyResult {
 	res := make([]applyResult, len(calls))
 	ops := make([]bfbdd.BatchOp, 0, len(calls))
 	recs := make([]wal.ApplyRec, 0, len(calls))
@@ -199,27 +197,11 @@ func (c *coalescer) build(ctx context.Context, calls []*applyCall, tr *trace.Tra
 	if len(live) == 0 {
 		return res
 	}
-	var before bfbdd.Stats
-	if c.sess.slowThreshold > 0 {
-		before = c.sess.mgr.Stats()
-	}
-	results, err := c.sess.mgr.ApplyBatchCtx(ctx, ops)
-	c.sess.noteSlowBuild("apply", time.Since(started), before)
-	if err != nil {
-		c.sess.noteFailure(err)
-		err = fmt.Errorf("batch build aborted: %w", err)
-	}
 	// A partially completed batch (budget abort, injected fault) still
-	// produced some results; their callers get real handles — which means
-	// those operations are acknowledged and must hit the journal first, as
-	// one commit group. If the journal refuses, every caller sees the
-	// failure.
-	if jerr := c.sess.registerApplies(tr, batchSpan, recs, results); jerr != nil {
-		for _, i := range live {
-			res[i].err = jerr
-		}
-		return res
-	}
+	// produced some results; their callers get real handles, the rest the
+	// build's error. If the journal refused, every caller sees that.
+	results, err := c.sess.buildBatch(ctx, "apply", ops, recs)
+	c.sess.noteFailure(err)
 	if err == nil {
 		c.m.coalescedBatches.Add(1)
 		c.m.coalescedOps.Add(uint64(len(live)))

@@ -557,21 +557,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			ops[i] = bfbdd.BatchOp{Kind: kinds[i], F: f, G: g}
 			recs[i] = wal.ApplyRec{Op: uint8(kinds[i]), F: op.F, G: op.G}
 		}
-		var before bfbdd.Stats
-		if sess.slowThreshold > 0 {
-			before = sess.mgr.Stats()
-		}
-		t0 := time.Now()
-		results, err := sess.mgr.ApplyBatchCtx(ctx, ops)
-		sess.noteSlowBuild("batch", time.Since(t0), before)
 		// Operations that finished before an abort are acknowledged as real
-		// handles too, so they are journaled like any success; if the
-		// journal refuses, nothing was acknowledged and its error is the
-		// answer.
-		btr, bparent := trace.FromContext(ctx)
-		if jerr := sess.registerApplies(btr, bparent, recs, results); jerr != nil {
-			return jerr
-		}
+		// handles too; a journal refusal comes back with no results.
+		results, err := sess.buildBatch(ctx, "batch", ops, recs)
 		if err != nil {
 			for i, b := range results {
 				if b != nil {

@@ -172,9 +172,9 @@ type Config struct {
 	TraceSample float64
 	// TraceRingSize is how many completed traces the ring retains.
 	TraceRingSize int
-	// SlowBuildThreshold, when positive, logs a per-phase breakdown of
-	// any engine build whose wall time exceeds it. Works without
-	// sampling: detection is driven by engine stats deltas.
+	// SlowBuildThreshold, when positive, logs the build report of any
+	// engine build whose wall time exceeds it. Works without sampling:
+	// the manager forms the report on every build.
 	SlowBuildThreshold time.Duration
 }
 

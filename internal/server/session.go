@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"bfbdd"
+	"bfbdd/internal/core"
 	"bfbdd/internal/faultinject"
 	"bfbdd/internal/snapshot"
 	"bfbdd/internal/trace"
@@ -65,22 +66,6 @@ type SessionOptions struct {
 	MaxBytes uint64 `json:"max_bytes,omitempty"`
 }
 
-func parseEngine(name string) (bfbdd.Engine, error) {
-	switch name {
-	case "", "pbf":
-		return bfbdd.EnginePBF, nil
-	case "df":
-		return bfbdd.EngineDF, nil
-	case "bf":
-		return bfbdd.EngineBF, nil
-	case "hybrid":
-		return bfbdd.EngineHybrid, nil
-	case "par":
-		return bfbdd.EnginePar, nil
-	}
-	return 0, fmt.Errorf("%w: unknown engine %q", errBadRequest, name)
-}
-
 // options validates the request against the server's limits and lowers it
 // to bfbdd options. Validation happens before any allocation so a
 // malformed request cannot cost the server memory.
@@ -96,9 +81,11 @@ func (o SessionOptions) options(cfg Config) (engine bfbdd.Engine, opts []bfbdd.O
 // validated against cfg.MaxVars by peeking the stream header before any
 // manager is built).
 func (o SessionOptions) engineOptions(cfg Config) (engine bfbdd.Engine, opts []bfbdd.Option, err error) {
-	engine, err = parseEngine(o.Engine)
-	if err != nil {
-		return 0, nil, err
+	engine = bfbdd.EnginePBF
+	if o.Engine != "" {
+		if engine, err = core.ParseEngine(o.Engine); err != nil {
+			return 0, nil, fmt.Errorf("%w: unknown engine %q", errBadRequest, o.Engine)
+		}
 	}
 	opts = append(opts, bfbdd.WithEngine(engine))
 	if o.Workers != 0 {
@@ -107,14 +94,12 @@ func (o SessionOptions) engineOptions(cfg Config) (engine bfbdd.Engine, opts []b
 		}
 		opts = append(opts, bfbdd.WithWorkers(o.Workers))
 	}
-	switch o.GCPolicy {
-	case "":
-	case "compact":
-		opts = append(opts, bfbdd.WithGCPolicy(bfbdd.GCCompact))
-	case "freelist":
-		opts = append(opts, bfbdd.WithGCPolicy(bfbdd.GCFreeList))
-	default:
-		return 0, nil, fmt.Errorf("%w: unknown gc_policy %q", errBadRequest, o.GCPolicy)
+	if o.GCPolicy != "" {
+		p, err := core.ParseGCPolicy(o.GCPolicy)
+		if err != nil {
+			return 0, nil, fmt.Errorf("%w: unknown gc_policy %q", errBadRequest, o.GCPolicy)
+		}
+		opts = append(opts, bfbdd.WithGCPolicy(p))
 	}
 	if o.CacheBits != 0 {
 		if o.CacheBits > 24 {
@@ -226,10 +211,10 @@ type session struct {
 	// kernel unwinds those to a consistent, reusable manager.
 	poisoned atomic.Bool
 
-	// slowThreshold, when positive, logs a per-phase breakdown of any
-	// engine build that takes longer (Config.SlowBuildThreshold). It is
-	// independent of trace sampling: slow-build detection works from
-	// stats deltas alone, so it catches unsampled requests too.
+	// slowThreshold, when positive, logs the build report of any engine
+	// build that takes longer (Config.SlowBuildThreshold). It is
+	// independent of trace sampling: the manager forms the report on
+	// every build, so it catches unsampled requests too.
 	slowThreshold time.Duration
 
 	// lastUsed is the unix-nano time of the last request (idle expiry).
@@ -376,13 +361,20 @@ func (s *session) journalT(t *trace.Trace, parent trace.SpanID, recs ...wal.Reco
 	return nil
 }
 
-// registerApplies binds every non-nil batch result under the next wire
-// handle, filling in recs[i].Handle, and journals those applies as one
-// commit group: a bare apply record for one operation, a batch record
-// otherwise. If the journal refuses, nothing was acknowledged: every
-// binding is undone, newest first so handle numbering rewinds, and the
-// journal error is returned. Executor goroutine only; t may be nil.
-func (s *session) registerApplies(t *trace.Trace, parent trace.SpanID, recs []wal.ApplyRec, results []*bfbdd.BDD) error {
+// buildBatch runs ops as one engine build and acknowledges what it
+// produced: it logs the build if it was slow, binds every finished result
+// under the next wire handle, filling in recs[i].Handle, and journals
+// those applies as one commit group (a bare apply record for one
+// operation, a batch record otherwise). It returns the results,
+// index-aligned with ops and nil where an aborted build did not finish,
+// with the build's error. If the journal refuses, nothing was
+// acknowledged: every binding is undone, newest first so handle
+// numbering rewinds, and the journal error comes back with no results.
+// Executor goroutine only; op names the route in the slow-build log.
+func (s *session) buildBatch(ctx context.Context, op string, ops []bfbdd.BatchOp, recs []wal.ApplyRec) ([]*bfbdd.BDD, error) {
+	t0 := time.Now()
+	results, err := s.mgr.ApplyBatchCtx(ctx, ops)
+	s.noteSlowBuild(op, time.Since(t0))
 	var done []wal.ApplyRec
 	for i, b := range results {
 		if b != nil {
@@ -390,42 +382,36 @@ func (s *session) registerApplies(t *trace.Trace, parent trace.SpanID, recs []wa
 			done = append(done, recs[i])
 		}
 	}
-	var err error
+	var jerr error
 	switch len(done) {
 	case 0:
-		return nil
 	case 1:
-		err = s.journalT(t, parent, done[0])
+		jerr = s.journalCtx(ctx, done[0])
 	default:
-		err = s.journalT(t, parent, wal.BatchRec{Ops: done})
+		jerr = s.journalCtx(ctx, wal.BatchRec{Ops: done})
 	}
-	if err != nil {
+	if jerr != nil {
 		for i := len(done) - 1; i >= 0; i-- {
 			s.st.Undo(done[i].Handle)
 		}
+		return nil, jerr
 	}
-	return err
+	return results, err
 }
 
-// noteSlowBuild logs the phase breakdown of a build that exceeded the
-// session's slow-build threshold. before must be the Stats snapshot
-// taken just before the build (the caller only takes it when the
-// threshold is set). Executor goroutine only.
-func (s *session) noteSlowBuild(op string, elapsed time.Duration, before bfbdd.Stats) {
+// noteSlowBuild logs the report of the manager's last build when it took
+// longer than the session's slow-build threshold. Executor goroutine
+// only.
+func (s *session) noteSlowBuild(op string, elapsed time.Duration) {
 	if s.slowThreshold <= 0 || elapsed < s.slowThreshold {
 		return
 	}
-	after := s.mgr.Stats()
-	log.Printf("server: slow build: session=%s op=%s wall=%v shannon_steps=%d cache_hits=%d "+
-		"expansion=%v reduction=%v gc_mark=%v gc_fix=%v gc_rehash=%v lock_wait=%v "+
-		"steals=%d stalls=%d nodes_delta=%d",
-		s.id, op, elapsed.Round(time.Microsecond),
-		after.Ops-before.Ops, after.CacheHits-before.CacheHits,
-		after.ExpansionTime-before.ExpansionTime, after.ReductionTime-before.ReductionTime,
-		after.GCMarkTime-before.GCMarkTime, after.GCFixTime-before.GCFixTime,
-		after.GCRehashTime-before.GCRehashTime, after.LockWait-before.LockWait,
-		after.Steals-before.Steals, after.Stalls-before.Stalls,
-		int64(after.NumNodes)-int64(before.NumNodes))
+	var b strings.Builder
+	fmt.Fprintf(&b, "server: slow build: session=%s op=%s wall=%v", s.id, op, elapsed.Round(time.Microsecond))
+	for _, a := range s.mgr.LastBuild().Attrs() {
+		fmt.Fprintf(&b, " %s=%d", a.Key, a.Value)
+	}
+	log.Print(b.String())
 }
 
 // snapshotTo streams the whole session — every wire handle and the

@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,21 +22,8 @@ import (
 // handle and the trace id from the response header.
 func tracedApply(t *testing.T, base, sid, op string, f, g uint64) (uint64, string) {
 	t.Helper()
-	body, _ := json.Marshal(map[string]any{"op": op, "f": f, "g": g})
-	resp, err := http.Post(base+"/v1/sessions/"+sid+"/apply?trace=1",
-		"application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("traced apply -> %d: %s", resp.StatusCode, raw)
-	}
-	tid := resp.Header.Get("X-Bfbdd-Trace")
-	if tid == "" {
-		t.Fatal("forced request missing X-Bfbdd-Trace header")
-	}
+	raw, tid := tracedPost(t, base+"/v1/sessions/"+sid+"/apply",
+		map[string]any{"op": op, "f": f, "g": g})
 	var out struct {
 		Handle uint64 `json:"handle"`
 	}
@@ -41,6 +31,27 @@ func tracedApply(t *testing.T, base, sid, op string, f, g uint64) (uint64, strin
 		t.Fatalf("unmarshal %q: %v", raw, err)
 	}
 	return out.Handle, tid
+}
+
+// tracedPost posts req to url with ?trace=1, requires a 200, and returns
+// the response body and the trace id from the response header.
+func tracedPost(t *testing.T, url string, req any) ([]byte, string) {
+	t.Helper()
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(url+"?trace=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("traced POST %s -> %d: %s", url, resp.StatusCode, raw)
+	}
+	tid := resp.Header.Get("X-Bfbdd-Trace")
+	if tid == "" {
+		t.Fatal("forced request missing X-Bfbdd-Trace header")
+	}
+	return raw, tid
 }
 
 // fetchTrace retrieves and validates one exported trace by id.
@@ -239,12 +250,17 @@ func TestTraceCoalescedBatchMembership(t *testing.T) {
 	}
 }
 
+// gcEveryBuild is a session that collects at the start of any build
+// that follows node growth (no node floor, a growth factor barely over
+// 1), so a build's report carries nonzero GC phase times.
+var gcEveryBuild = SessionOptions{Vars: 10, GCGrowth: 1.001, GCMinNodes: 1}
+
 // TestTraceCountersMatchStats is the parity check: the kernel-build
 // span's counter attributes must equal the Manager.Stats deltas across
 // the traced build.
 func TestTraceCountersMatchStats(t *testing.T) {
 	srv, ts := testServer(t, Config{})
-	sid := createSession(t, ts.URL, SessionOptions{Vars: 10})
+	sid := createSession(t, ts.URL, gcEveryBuild)
 	v0 := mkVar(t, ts.URL, sid, 0, false)
 	acc := v0
 	for i := 1; i < 10; i++ {
@@ -279,6 +295,14 @@ func TestTraceCountersMatchStats(t *testing.T) {
 		{"context_pushes", int64(after.ContextPushes - before.ContextPushes)},
 		{"lock_wait_ns", int64(after.LockWait - before.LockWait)},
 		{"nodes_created", int64(after.NumNodes) - int64(before.NumNodes)},
+		{"expansion_ns", int64(after.ExpansionTime - before.ExpansionTime)},
+		{"reduction_ns", int64(after.ReductionTime - before.ReductionTime)},
+		{"gc_mark_ns", int64(after.GCMarkTime - before.GCMarkTime)},
+		{"gc_fix_ns", int64(after.GCFixTime - before.GCFixTime)},
+		{"gc_rehash_ns", int64(after.GCRehashTime - before.GCRehashTime)},
+	}
+	if len(build.Attrs) != len(checks) {
+		t.Errorf("kernel-build has %d attributes, want %d: %v", len(build.Attrs), len(checks), build.Attrs)
 	}
 	for _, c := range checks {
 		got, ok := build.Attr(c.attr)
@@ -293,6 +317,93 @@ func TestTraceCountersMatchStats(t *testing.T) {
 	if steps, _ := build.Attr("shannon_steps"); steps == 0 {
 		t.Error("parity check exercised a build with zero Shannon steps")
 	}
+	if after.GCCount == before.GCCount {
+		t.Error("parity check exercised a build without a collection")
+	}
+}
+
+// TestSlowBuildLogMatchesSpan drives one traced /apply and one traced
+// /batch with every build over the slow-build threshold: each build logs
+// exactly one slow-build line, naming its route, whose counters are the
+// kernel-build span's attributes, key for key and value for value.
+func TestSlowBuildLogMatchesSpan(t *testing.T) {
+	var logged syncBuffer
+	prev := log.Writer()
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(prev) })
+
+	_, ts := testServer(t, Config{SlowBuildThreshold: time.Nanosecond})
+	sid := createSession(t, ts.URL, gcEveryBuild)
+	base := ts.URL + "/v1/sessions/" + sid
+	v0 := mkVar(t, ts.URL, sid, 0, false)
+	v1 := mkVar(t, ts.URL, sid, 1, false)
+	v2 := mkVar(t, ts.URL, sid, 2, false)
+	acc := apply(t, ts.URL, sid, "xor", v0, v1)
+
+	for _, tc := range []struct {
+		op  string
+		url string
+		req any
+	}{
+		{"apply", base + "/apply", map[string]any{"op": "and", "f": acc, "g": v2}},
+		{"batch", base + "/batch", map[string]any{"ops": []map[string]any{
+			{"op": "or", "f": acc, "g": v2},
+			{"op": "xor", "f": v1, "g": v2},
+		}}},
+	} {
+		logged.Reset()
+		_, tid := tracedPost(t, tc.url, tc.req)
+		build := spanByName(t, fetchTrace(t, ts.URL, tid), "kernel-build")
+
+		var lines []string
+		for _, l := range strings.Split(logged.String(), "\n") {
+			if strings.Contains(l, "server: slow build:") && strings.Contains(l, "session="+sid+" ") {
+				lines = append(lines, l)
+			}
+		}
+		if len(lines) != 1 {
+			t.Fatalf("%s: %d slow-build lines, want 1: %q", tc.op, len(lines), lines)
+		}
+		fields := strings.Fields(lines[0][strings.Index(lines[0], "session="):])
+		if len(fields) < 3 || fields[1] != "op="+tc.op || !strings.HasPrefix(fields[2], "wall=") {
+			t.Fatalf("%s: slow-build line starts %q, want session, op=%s, wall", tc.op, fields, tc.op)
+		}
+		var want []string
+		for _, a := range build.Attrs {
+			want = append(want, fmt.Sprintf("%s=%d", a.Key, a.Value))
+		}
+		if got := fields[3:]; !slices.Equal(got, want) {
+			t.Errorf("%s: slow-build counters %q, kernel-build span %q", tc.op, got, want)
+		}
+		if v, _ := build.Attr("gc_mark_ns"); v == 0 {
+			t.Errorf("%s: build ran no collection", tc.op)
+		}
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for the log package's writes from
+// executor goroutines.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+func (b *syncBuffer) Reset() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.buf.Reset()
 }
 
 // TestTraceDebugEndpoints covers the listing surface: empty when

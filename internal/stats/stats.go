@@ -64,6 +64,9 @@ type Worker struct {
 	// StallNs accumulates time spent waiting (including helping) for
 	// thief results during reduction.
 	StallNs int64
+	// LockWaitNs accumulates time spent waiting for unique-table locks
+	// (each table also keeps its own total, the per-variable Fig 16).
+	LockWaitNs int64
 
 	// ContextPushes / ContextPops count evaluation-context stack traffic.
 	ContextPushes uint64
@@ -94,6 +97,7 @@ func (w *Worker) Add(other *Worker) {
 	w.Stalls += other.Stalls
 	w.ForcedOps += other.ForcedOps
 	w.StallNs += other.StallNs
+	w.LockWaitNs += other.LockWaitNs
 	w.ContextPushes += other.ContextPushes
 	w.ContextPops += other.ContextPops
 }

@@ -83,16 +83,19 @@ type Table struct {
 	hits, misses uint64
 }
 
-// Lock acquires the table lock, accumulating contention wait time. The
-// fast path (uncontended TryLock) costs one atomic operation and records
-// no wait.
-func (t *Table) Lock() {
+// Lock acquires the table lock, accumulating contention wait time, and
+// returns the wait so the caller can charge it to its own counters too.
+// The fast path (uncontended TryLock) costs one atomic operation and
+// records no wait.
+func (t *Table) Lock() time.Duration {
 	if t.mu.TryLock() {
-		return
+		return 0
 	}
 	start := time.Now()
 	t.mu.Lock()
-	t.lockWaitNs.Add(int64(time.Since(start)))
+	d := time.Since(start)
+	t.lockWaitNs.Add(int64(d))
+	return d
 }
 
 // TryLock attempts to acquire the lock without blocking.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"bfbdd/internal/node"
 )
@@ -231,25 +232,29 @@ func TestResetBucketsAndInsert(t *testing.T) {
 	}
 }
 
+// TestLockWaitAccumulates checks that Lock returns exactly the wait it
+// adds to the table's total, and zero when uncontended.
 func TestLockWaitAccumulates(t *testing.T) {
 	var tab Table
-	tab.Lock()
-	done := make(chan struct{})
-	go func() {
-		tab.Lock() // will block
-		tab.Unlock()
-		close(done)
-	}()
-	// Give the contender time to block, then release.
-	for i := 0; i < 100; i++ {
-		if tab.lockWaitNs.Load() >= 0 {
-			break
+	var returned time.Duration
+	for try := 0; try < 10 && returned == 0; try++ {
+		if d := tab.Lock(); d != 0 {
+			t.Fatalf("uncontended Lock returned %v", d)
 		}
+		started, done := make(chan struct{}), make(chan time.Duration)
+		go func() {
+			close(started)
+			d := tab.Lock() // blocks until the holder lets go
+			tab.Unlock()
+			done <- d
+		}()
+		<-started
+		time.Sleep(time.Millisecond)
+		tab.Unlock()
+		returned += <-done
 	}
-	tab.Unlock()
-	<-done
-	if tab.LockWait() < 0 {
-		t.Fatalf("LockWait negative: %v", tab.LockWait())
+	if returned == 0 || tab.LockWait() != returned {
+		t.Fatalf("LockWait %v, Lock returned %v in total", tab.LockWait(), returned)
 	}
 	tab.ResetLockWait()
 	if tab.LockWait() != 0 {

@@ -14,47 +14,28 @@ import (
 
 // Engine selects the BDD construction algorithm. See the package
 // documentation for the trade-offs.
-type Engine int
+type Engine = core.Engine
 
 // The available engines.
 const (
-	EngineDF Engine = iota
-	EngineBF
-	EngineHybrid
-	EnginePBF
-	EnginePar
+	EngineDF     = core.EngineDF
+	EngineBF     = core.EngineBF
+	EngineHybrid = core.EngineHybrid
+	EnginePBF    = core.EnginePBF
+	EnginePar    = core.EnginePar
 )
 
-// String returns the engine name.
-func (e Engine) String() string { return coreEngine(e).String() }
-
-func coreEngine(e Engine) core.Engine {
-	switch e {
-	case EngineDF:
-		return core.EngineDF
-	case EngineBF:
-		return core.EngineBF
-	case EngineHybrid:
-		return core.EngineHybrid
-	case EnginePBF:
-		return core.EnginePBF
-	case EnginePar:
-		return core.EnginePar
-	}
-	panic(fmt.Sprintf("bfbdd: unknown engine %d", int(e)))
-}
-
 // GCPolicy selects the garbage collection strategy.
-type GCPolicy int
+type GCPolicy = core.GCPolicy
 
 // The available GC policies.
 const (
 	// GCCompact is the paper's mark-and-sweep collector with memory
 	// compaction (mark / fix / rehash). Default.
-	GCCompact GCPolicy = iota
+	GCCompact = core.GCCompact
 	// GCFreeList sweeps dead nodes onto free lists without moving
 	// anything (lower pause cost, scattered allocation).
-	GCFreeList
+	GCFreeList = core.GCFreeList
 )
 
 // Option configures a Manager.
@@ -62,7 +43,7 @@ type Option func(*core.Options)
 
 // WithEngine selects the construction engine (default EnginePBF).
 func WithEngine(e Engine) Option {
-	return func(o *core.Options) { o.Engine = coreEngine(e) }
+	return func(o *core.Options) { o.Engine = e }
 }
 
 // WithWorkers sets the parallel worker count for EnginePar.
@@ -89,13 +70,7 @@ func WithCacheBits(bits uint) Option {
 
 // WithGCPolicy selects the collector (default GCCompact).
 func WithGCPolicy(p GCPolicy) Option {
-	return func(o *core.Options) {
-		if p == GCFreeList {
-			o.GC = core.GCFreeList
-		} else {
-			o.GC = core.GCCompact
-		}
-	}
+	return func(o *core.Options) { o.GC = p }
 }
 
 // WithGCGrowth sets the heap growth factor that triggers collection.
@@ -172,6 +147,7 @@ type Manager struct {
 	var2level []int
 	level2var []int
 	closed    atomic.Bool
+	last      BuildReport // see LastBuild
 }
 
 // New creates a manager with numVars Boolean variables. Initially
@@ -537,10 +513,6 @@ type Stats struct {
 func (m *Manager) Stats() Stats {
 	m.checkOpen()
 	t := m.k.TotalStats()
-	var lock time.Duration
-	for l := 0; l < m.k.Levels(); l++ {
-		lock += m.k.Table(l).LockWait()
-	}
 	mem := m.k.Memory()
 	b := m.k.BudgetStats()
 	sp := m.k.SpillStats()
@@ -557,7 +529,7 @@ func (m *Manager) Stats() Stats {
 		StolenOps:     t.StolenOps,
 		Stalls:        t.Stalls,
 		ContextPushes: t.ContextPushes,
-		LockWait:      lock,
+		LockWait:      time.Duration(t.LockWaitNs),
 		GCCount:       mem.GCCount,
 		PeakBytes:     mem.PeakBytes,
 		NumNodes:      m.k.NumNodes(),

@@ -87,8 +87,11 @@ done
 echo "=== slow-build diagnostics"
 grep -q 'server: slow build:' "$DIR/server.log" ||
   { echo "no slow-build log line despite 1ns threshold" >&2; tail "$DIR/server.log" >&2; exit 1; }
-grep 'server: slow build:' "$DIR/server.log" | head -1 | tee "$OUT/slow-build.txt" |
-  grep -q 'shannon_steps=' || { echo "slow-build line lacks phase breakdown" >&2; exit 1; }
+grep 'server: slow build:' "$DIR/server.log" | head -1 > "$OUT/slow-build.txt"
+for field in shannon_steps= terminals= gc_mark_ns=; do
+  grep -q "$field" "$OUT/slow-build.txt" ||
+    { echo "slow-build line lacks $field" >&2; cat "$OUT/slow-build.txt" >&2; exit 1; }
+done
 
 kill "$SERVER_PID" && wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=
