@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -54,6 +55,32 @@ func TestApplyBatchEmpty(t *testing.T) {
 	k := NewKernel(Options{Levels: 2, Engine: EnginePar, Workers: 2})
 	if got := k.ApplyBatch(nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %v", got)
+	}
+}
+
+// TestUnknownEnginePanics checks that an out-of-range Engine panics at
+// its first build on every entry point rather than building with some
+// other engine; a terminal case must not slip past the check.
+func TestUnknownEnginePanics(t *testing.T) {
+	k := NewKernel(Options{Levels: 2, Engine: Engine(7)})
+	f, g := k.VarRef(0), k.VarRef(1)
+	for name, build := range map[string]func(){
+		"Apply":         func() { k.Apply(OpAnd, f, g) },
+		"ApplyCtx":      func() { k.ApplyCtx(context.Background(), OpAnd, f, g) },
+		"ApplyBatch":    func() { k.ApplyBatch([]BinOp{{OpAnd, f, g}}) },
+		"ApplyBatchCtx": func() { k.ApplyBatchCtx(context.Background(), []BinOp{{OpOr, node.One, g}}) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); msg != "core: unknown engine" {
+					t.Errorf("%s: recovered %q, want the unknown-engine panic", name, msg)
+				}
+			}()
+			build()
+		}()
+	}
+	if n := k.NumPins(); n != 0 {
+		t.Errorf("%d pins left after the panics, want 0", n)
 	}
 }
 

@@ -155,36 +155,13 @@ func interruptible(ctx context.Context) bool {
 //
 // Typed aborts — *BudgetError, *InternalError, injected faults — are
 // returned as errors regardless of whether ctx is cancellable.
-func (k *Kernel) ApplyCtx(ctx context.Context, op Op, f, g node.Ref) (r node.Ref, err error) {
-	if interruptible(ctx) {
-		if err := ctx.Err(); err != nil {
-			return node.Nil, err
-		}
-		k.armInterrupt(ctx.Err)
-		defer k.disarmInterrupt()
+func (k *Kernel) ApplyCtx(ctx context.Context, op Op, f, g node.Ref) (node.Ref, error) {
+	ops := [1]BinOp{{Op: op, F: f, G: g}}
+	res := [1]node.Ref{node.Nil}
+	if err := k.applyBatchCtx(ctx, ops[:], res[:]); err != nil {
+		return node.Nil, err
 	}
-	defer func() {
-		rec := recover()
-		if rec == nil {
-			return
-		}
-		// Apply's convertAbort already discarded the transient build state
-		// before re-raising either the bare sentinel (cancellation) or a
-		// typed abort payload.
-		if _, ok := rec.(buildAborted); ok {
-			r, err = node.Nil, k.abortError()
-			if err == nil {
-				err = context.Canceled
-			}
-			return
-		}
-		if e, ok := abortPayload(rec); ok {
-			r, err = node.Nil, e
-			return
-		}
-		panic(rec)
-	}()
-	return k.Apply(op, f, g), nil
+	return res[0], nil
 }
 
 // ApplyBatchCtx is ApplyBatch with cooperative cancellation (see
@@ -194,14 +171,27 @@ func (k *Kernel) ApplyCtx(ctx context.Context, op Op, f, g node.Ref) (r node.Ref
 // ops[i] if it finished before the abort and node.Nil otherwise. The
 // completed refs are canonical but unpinned; a caller that wants them to
 // survive the next collection must pin them before operating further.
-func (k *Kernel) ApplyBatchCtx(ctx context.Context, ops []BinOp) (refs []node.Ref, err error) {
+func (k *Kernel) ApplyBatchCtx(ctx context.Context, ops []BinOp) ([]node.Ref, error) {
 	results := make([]node.Ref, len(ops))
 	for i := range results {
 		results[i] = node.Nil
 	}
+	err := k.applyBatchCtx(ctx, ops, results)
+	if _, typed := abortPayload(err); err != nil && !typed {
+		return nil, err // canceled: no results are reported
+	}
+	return results, err
+}
+
+// applyBatchCtx runs applyBatchInto under ctx's interrupt probe and
+// returns a cancellation or typed abort as an error. applyBatchInto's
+// convertAbort has already discarded the transient build state before
+// re-raising either the bare sentinel (cancellation) or a typed abort
+// payload.
+func (k *Kernel) applyBatchCtx(ctx context.Context, ops []BinOp, results []node.Ref) (err error) {
 	if interruptible(ctx) {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		k.armInterrupt(ctx.Err)
 		defer k.disarmInterrupt()
@@ -212,18 +202,16 @@ func (k *Kernel) ApplyBatchCtx(ctx context.Context, ops []BinOp) (refs []node.Re
 			return
 		}
 		if _, ok := rec.(buildAborted); ok {
-			refs, err = nil, k.abortError()
-			if err == nil {
+			if err = k.abortError(); err == nil {
 				err = context.Canceled
 			}
 			return
 		}
-		if e, ok := abortPayload(rec); ok {
-			refs, err = results, e
-			return
+		var ok bool
+		if err, ok = abortPayload(rec); !ok {
+			panic(rec)
 		}
-		panic(rec)
 	}()
 	k.applyBatchInto(ops, results)
-	return results, nil
+	return nil
 }

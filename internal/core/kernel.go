@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"bfbdd/internal/cache"
 	"bfbdd/internal/faultinject"
 	"bfbdd/internal/node"
 	"bfbdd/internal/spill"
@@ -195,6 +196,13 @@ type Kernel struct {
 	// opDone signals idle workers that the current top-level operation
 	// has completed.
 	opDone atomic.Bool
+	// batchActive counts the workers still driving their own seeds of
+	// the parallel batch in flight, batchWG waits for all of them, and
+	// batchRoots is the batch's root scratch, reused across batches (see
+	// parApplyBatch).
+	batchActive atomic.Int32
+	batchWG     sync.WaitGroup
+	batchRoots  []cache.Tagged
 
 	// applySeq numbers top-level operations (diagnostics).
 	applySeq uint64
@@ -391,6 +399,25 @@ func (k *Kernel) Pin(r node.Ref) *Pin {
 	return p
 }
 
+// pinAll registers every element of pins as an external root.
+func (k *Kernel) pinAll(pins []Pin) {
+	k.checkOpen()
+	k.pinsMu.Lock()
+	for i := range pins {
+		k.pins[&pins[i]] = struct{}{}
+	}
+	k.pinsMu.Unlock()
+}
+
+// unpinAll removes every element of pins from the root registry.
+func (k *Kernel) unpinAll(pins []Pin) {
+	k.pinsMu.Lock()
+	for i := range pins {
+		delete(k.pins, &pins[i])
+	}
+	k.pinsMu.Unlock()
+}
+
 // Unpin removes the pin from the root registry. The pin's ref must not be
 // used afterwards unless otherwise kept alive.
 func (k *Kernel) Unpin(p *Pin) {
@@ -461,55 +488,19 @@ func (k *Kernel) maybeGC() {
 	k.GC()
 }
 
-// Apply computes f op g with the configured engine, running garbage
-// collection at operation boundaries when thresholds are exceeded.
+// Apply computes f op g with the configured engine: a batch of one
+// through applyBatchInto, so garbage collection runs before the operation
+// when thresholds are exceeded.
 //
 // With a budget configured (Options.MaxNodes/MaxBytes), a build that
 // exceeds it after graceful degradation panics a typed *BudgetError;
 // ApplyCtx returns it as an error instead. The kernel stays consistent
 // and reusable either way.
 func (k *Kernel) Apply(op Op, f, g node.Ref) node.Ref {
-	if op >= numBinaryOps {
-		panic("core: Apply with non-binary op " + op.String())
-	}
-	if !f.Valid() || !g.Valid() {
-		panic("core: Apply with invalid operand")
-	}
-	if plantedOracleBug && op == OpDiff && f == g && !f.IsTerminal() {
-		return node.One // deliberately wrong: f \ f is Zero (see oraclebug_on.go)
-	}
-	k.applySeq++
-	// Operands must survive (and track) a pre-operation collection. The
-	// unpin is deferred so an aborted (canceled) build does not leak pins.
-	pf, pg := k.Pin(f), k.Pin(g)
-	defer func() {
-		k.Unpin(pf)
-		k.Unpin(pg)
-	}()
-	// A previous abort on an uninterruptible build (e.g. a mid-build
-	// budget trip) leaves its error latched in abortErr; only armInterrupt
-	// clears it otherwise. This build must start clean or the first poll
-	// would re-abort it with the stale error.
-	k.abortErr.Store(nil)
-	defer k.convertAbort()
-	k.ensureReadable()
-	k.budgetGate()
-	f, g = pf.ref, pg.ref
-	var r node.Ref
-	switch k.opts.Engine {
-	case EngineDF:
-		r = k.workers[0].dfApply(op, f, g)
-	case EngineHybrid:
-		r = k.workers[0].hybridApply(op, f, g)
-	case EngineBF, EnginePBF:
-		r = k.workers[0].pbfApply(op, f, g)
-	case EnginePar:
-		r = k.parApply(op, f, g)
-	default:
-		panic("core: unknown engine")
-	}
-	k.sampleMemory()
-	return r
+	ops := [1]BinOp{{Op: op, F: f, G: g}}
+	res := [1]node.Ref{node.Nil}
+	k.applyBatchInto(ops[:], res[:])
+	return res[0]
 }
 
 // Not returns the complement of f (XNOR with the zero terminal, resolved

@@ -648,54 +648,6 @@ func (w *worker) idleLoop() {
 	}
 }
 
-// parApply runs one top-level operation with the parallel engine.
-func (k *Kernel) parApply(op Op, f, g node.Ref) node.Ref {
-	w0 := k.workers[0]
-	w0.nOps = 0
-	root := w0.preprocess(op, f, g)
-	if !root.IsOpHandle() {
-		return root.Ref()
-	}
-	k.opDone.Store(false)
-	var wg sync.WaitGroup
-	for _, w := range k.workers[1:] {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			// A canceled build unwinds thief goroutines with the
-			// buildAborted sentinel; swallow it here (the driver
-			// re-raises it after all workers have quiesced).
-			defer k.catchAbort()
-			w.idleLoop()
-		}(w)
-	}
-	func() {
-		// The driving worker's unwind must still release the thieves and
-		// wait for them before propagating, so no goroutine outlives the
-		// top-level operation.
-		defer func() {
-			if r := recover(); r != nil {
-				k.opDone.Store(true)
-				wg.Wait()
-				panic(r)
-			}
-		}()
-		w0.evalCycle()
-	}()
-	k.opDone.Store(true)
-	wg.Wait()
-	if k.aborted() {
-		panic(buildAborted{})
-	}
-	o := w0.opAt(opRef(root))
-	if o.state.Load() != opDone {
-		panic(internalf("parApply", "root not reduced"))
-	}
-	res := o.resultRef()
-	k.endTopLevel()
-	return res
-}
-
 // dfApply is the conventional depth-first algorithm (Fig 3). It shares
 // the worker's compute cache; a cache hit on a not-yet-reduced operator
 // node (possible in the hybrid engine's depth-first phase) computes the

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bfbdd/internal/core"
@@ -219,5 +220,207 @@ func TestBuildPinHygiene(t *testing.T) {
 	k.GC()
 	if k.NumNodes() != 0 {
 		t.Fatalf("nodes after release+GC = %d", k.NumNodes())
+	}
+}
+
+// TestBuildBatchedPinHygiene checks that a batched build leaves only the
+// outputs pinned, at one worker (index order) and at two (FIFO).
+func TestBuildBatchedPinHygiene(t *testing.T) {
+	c := Multiplier(4)
+	for _, workers := range []int{1, 2} {
+		k := core.NewKernel(core.Options{
+			Levels: c.NumInputs(), Engine: core.EnginePar, Workers: workers, Stealing: true,
+		})
+		res, err := Build(k, c, identityOrder(c.NumInputs()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k.NumPins() != c.NumOutputs() {
+			t.Fatalf("%d workers: pins after build = %d want %d (intermediates leaked)",
+				workers, k.NumPins(), c.NumOutputs())
+		}
+		res.Release()
+		if k.NumPins() != 0 {
+			t.Fatalf("%d workers: pins after release = %d", workers, k.NumPins())
+		}
+		k.GC()
+		if k.NumNodes() != 0 {
+			t.Fatalf("%d workers: nodes after release+GC = %d", workers, k.NumNodes())
+		}
+	}
+}
+
+// buildSignature builds c on a fresh kernel and returns the canonical
+// signature of its outputs, comparable across kernels.
+func buildSignature(t *testing.T, opts core.Options, c *Circuit) []uint64 {
+	t.Helper()
+	opts.Levels = c.NumInputs()
+	k := core.NewKernel(opts)
+	res, err := Build(k, c, identityOrder(c.NumInputs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Release()
+	return k.CanonicalSignature(res.Refs())
+}
+
+// TestBuildBatchedMatchesBuild builds each circuit in batches of 1, 2
+// and 4 workers (ready sets wider and narrower than the batch) on every
+// engine and requires the canonical outputs of a depth-first build.
+func TestBuildBatchedMatchesBuild(t *testing.T) {
+	circuits := []*Circuit{
+		Multiplier(5),
+		RippleAdder(6),
+		Comparator(4),
+		Parity(9),
+		Random(8, 80, 3),
+	}
+	engines := []struct {
+		name    string
+		opts    core.Options
+		workers []int
+	}{
+		{"df", core.Options{Engine: core.EngineDF}, []int{1}},
+		{"pbf", core.Options{Engine: core.EnginePBF, EvalThreshold: 64, GroupSize: 8}, []int{1}},
+		{"par", core.Options{Engine: core.EnginePar, EvalThreshold: 64, GroupSize: 8, Stealing: true}, []int{1, 2, 4}},
+	}
+	for _, c := range circuits {
+		want := buildSignature(t, core.Options{Engine: core.EngineDF}, c)
+		for _, e := range engines {
+			t.Run(c.Name+"/"+e.name, func(t *testing.T) {
+				for _, workers := range e.workers {
+					opts := e.opts
+					opts.Workers = workers
+					if !slices.Equal(buildSignature(t, opts, c), want) {
+						t.Fatalf("%d workers: outputs differ from the depth-first build", workers)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestBuildBatchedSmallBatches builds mult-4 in batches of 1, 3 and 8
+// (ready sets wider and narrower than the batch). Within one kernel a
+// rebuild must return the same refs, and the outputs must match a
+// depth-first build.
+func TestBuildBatchedSmallBatches(t *testing.T) {
+	c := Multiplier(4)
+	want := buildSignature(t, core.Options{Engine: core.EngineDF}, c)
+	for _, workers := range []int{1, 3, 8} {
+		k := core.NewKernel(core.Options{
+			Levels: c.NumInputs(), Engine: core.EnginePar, Workers: workers,
+			EvalThreshold: 64, GroupSize: 8, Stealing: true,
+		})
+		lv := identityOrder(c.NumInputs())
+		r1, err := Build(k, c, lv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := Build(k, c, lv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(r1.Refs(), r2.Refs()) {
+			t.Fatalf("%d workers: rebuild %v != first build %v", workers, r2.Refs(), r1.Refs())
+		}
+		if !slices.Equal(k.CanonicalSignature(r1.Refs()), want) {
+			t.Fatalf("%d workers: outputs differ from the depth-first build", workers)
+		}
+		r1.Release()
+		r2.Release()
+	}
+}
+
+// TestBuildBatchedSemantics simulates a 4-worker build of a scaled
+// C3540-like circuit, without collections, against gate-level evaluation.
+func TestBuildBatchedSemantics(t *testing.T) {
+	c := C3540LikeScaled(5)
+	k := core.NewKernel(core.Options{
+		Levels: c.NumInputs(), Engine: core.EnginePar, Workers: 4,
+		EvalThreshold: 128, GroupSize: 16, Stealing: true,
+	})
+	checkBuildAgainstSim(t, k, c, identityOrder(c.NumInputs()), 128)
+}
+
+// TestBuildOneWorkerReplaysGateOrder pins the counters of one-worker
+// builds at the values a gate-by-gate build (one Apply per binary step,
+// in gate order) produced: at one worker the index order must replay
+// that operation sequence exactly, collections included.
+func TestBuildOneWorkerReplaysGateOrder(t *testing.T) {
+	cases := []struct {
+		c                      *Circuit
+		engine                 core.Engine
+		steps, hits, terminals uint64
+		peakBytes, collections uint64
+	}{
+		{Multiplier(8), core.EnginePBF, 134937, 108384, 26932, 2674176, 14},
+		{Multiplier(8), core.EnginePar, 134937, 108384, 26932, 2674176, 14},
+		{C2670LikeScaled(4), core.EnginePBF, 985122, 855379, 130603, 16850432, 18},
+		{C2670LikeScaled(4), core.EnginePar, 985122, 855379, 130603, 16850432, 18},
+	}
+	for _, tc := range cases {
+		k := core.NewKernel(core.Options{
+			Levels: tc.c.NumInputs(), Engine: tc.engine, Workers: 1,
+			EvalThreshold: 8192, GCGrowth: 1.6, GCMinNodes: 4096,
+		})
+		res, err := Build(k, tc.c, identityOrder(tc.c.NumInputs()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+		st, mem := k.TotalStats(), k.Memory()
+		got := [5]uint64{st.Ops, st.CacheHits, st.Terminals, mem.PeakBytes, mem.GCCount}
+		want := [5]uint64{tc.steps, tc.hits, tc.terminals, tc.peakBytes, tc.collections}
+		if got != want {
+			t.Errorf("%s/%s: steps, cache hits, terminals, peak bytes, GCs = %v, want %v",
+				tc.c.Name, tc.engine, got, want)
+		}
+	}
+}
+
+// TestBuildBatchedWithGC collects at batch boundaries in the middle of a
+// 3-worker build.
+func TestBuildBatchedWithGC(t *testing.T) {
+	c := Multiplier(5)
+	opts := core.Options{
+		Engine: core.EnginePar, Workers: 3,
+		EvalThreshold: 64, GroupSize: 8, Stealing: true,
+		GCMinNodes: 64, GCGrowth: 1.15,
+	}
+	opts.Levels = c.NumInputs()
+	k := core.NewKernel(opts)
+	res, err := Build(k, c, identityOrder(c.NumInputs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Release()
+	if k.Memory().GCCount == 0 {
+		t.Fatal("expected batch-boundary collections")
+	}
+	want := buildSignature(t, core.Options{Engine: core.EngineDF}, c)
+	if !slices.Equal(k.CanonicalSignature(res.Refs()), want) {
+		t.Fatal("outputs diverged after a GC-heavy batched build")
+	}
+}
+
+func TestBuildBatchedBuffersAndConstants(t *testing.T) {
+	c := New("bufconst")
+	a := c.AddInput("a")
+	one := c.AddGate(GateConst1, "one")
+	buf := c.AddGate(GateBuf, "buf", a)
+	buf2 := c.AddGate(GateBuf, "buf2", buf)
+	g := c.AddGate(GateAnd, "g", buf2, one)
+	c.MarkOutput(g)
+	c.MarkOutput(buf) // output aliasing an input through a buffer
+	k := core.NewKernel(core.Options{Levels: 1, Engine: core.EnginePar, Workers: 2})
+	res, err := Build(k, c, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Release()
+	refs := res.Refs()
+	if refs[0] != refs[1] {
+		t.Fatalf("a AND 1 (%v) should equal buffered a (%v)", refs[0], refs[1])
 	}
 }

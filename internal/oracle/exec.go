@@ -280,6 +280,8 @@ func (ex *executor) step(i int, r OpRec) *Divergence {
 		return ex.execCompile(i, r)
 	case KSpill:
 		return ex.execSpill(i, r)
+	case KBatch:
+		return ex.execBatch(i, r)
 	}
 	return &Divergence{i, "run", "grammar", fmt.Sprintf("unknown op kind %d", int(r.Kind))}
 }
@@ -391,6 +393,44 @@ func (ex *executor) execCircuit(i int, r OpRec) *Divergence {
 	first := len(ex.truths)
 	for _, o := range c.Outputs {
 		ex.truths = append(ex.truths, gateT[o])
+	}
+	for s := first; s < len(ex.truths); s++ {
+		if d := ex.checkSlot(i, s, r.Seed+int64(s)); d != nil {
+			return d
+		}
+	}
+	return nil
+}
+
+// execBatch issues batchSize(r) binary operations over the live slots as
+// one Manager.ApplyBatch on every engine, appends the results, and checks
+// each against its truth table. Op codes and raw operand draws come from
+// r.Seed in a fixed order, so removing earlier records only changes which
+// slots the draws resolve to.
+func (ex *executor) execBatch(i int, r OpRec) *Divergence {
+	rng := rand.New(rand.NewSource(r.Seed))
+	type binOp struct {
+		op   core.Op
+		a, b int
+	}
+	ops := make([]binOp, batchSize(r))
+	for j := range ops {
+		ops[j] = binOp{core.Op(rng.Intn(numBinOps)), ex.slot(rng.Int()), ex.slot(rng.Int())}
+		if rng.Intn(8) == 0 {
+			ops[j].b = ops[j].a // same-operand applies hit the f==g terminal rules
+		}
+	}
+	for _, st := range ex.engs {
+		batch := make([]bfbdd.BatchOp, len(ops))
+		for j, o := range ops {
+			// BatchOpKind lists the binary ops in core.Op order.
+			batch[j] = bfbdd.BatchOp{Kind: bfbdd.BatchOpKind(o.op), F: st.slots[o.a], G: st.slots[o.b]}
+		}
+		st.slots = append(st.slots, st.m.ApplyBatch(batch)...)
+	}
+	first := len(ex.truths)
+	for _, o := range ops {
+		ex.truths = append(ex.truths, ex.truths[o.a].Bin(o.op, ex.truths[o.b]))
 	}
 	for s := first; s < len(ex.truths); s++ {
 		if d := ex.checkSlot(i, s, r.Seed+int64(s)); d != nil {

@@ -168,6 +168,28 @@ func TestSpillOp(t *testing.T) {
 	}
 }
 
+// TestBatchOp pins a sequence with explicit batch ops so Manager.ApplyBatch
+// is cross-checked on every engine even when generated sequences happen
+// not to draw one: the widest batch over the base slots, a batch over
+// earlier results after a collection, and a narrow one after reordering.
+func TestBatchOp(t *testing.T) {
+	seq := oracle.Sequence{
+		Vars: 6,
+		Ops: []oracle.OpRec{
+			{Kind: oracle.KBatch, A: 14, Seed: 301},
+			{Kind: oracle.KGC, A: 9, Seed: 302},
+			{Kind: oracle.KBatch, A: 7, Seed: 303},
+			{Kind: oracle.KReorder, A: 20, Seed: 304},
+			{Kind: oracle.KBatch, Seed: 305},
+			{Kind: oracle.KSnapshot, Seed: 306},
+		},
+	}
+	rep := oracle.Run(seq, oracle.DefaultEngines())
+	if rep.Div != nil {
+		t.Fatalf("%s\ntrace:\n%s", rep.Div, rep.Seq)
+	}
+}
+
 // TestRunVerdictDeterministic re-runs the same sequence and requires the
 // identical verdict string, the property replay verification rests on.
 func TestRunVerdictDeterministic(t *testing.T) {

@@ -84,13 +84,18 @@ const (
 	// unspill, and re-verify — the memory tier must be invisible to the
 	// function semantics. Checking.
 	KSpill
+	// KBatch: slots += one Manager.ApplyBatch of 2+A%15 binary ops whose
+	// op codes and raw operand draws come from Seed; operands resolve
+	// modulo the live slot count before the batch. Producing (several
+	// slots).
+	KBatch
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"apply", "not", "restrict", "exists", "forall", "circuit",
 	"meta", "eval", "anysat", "satcount", "gc", "reorder", "snapshot", "abort",
-	"compile", "spill",
+	"compile", "spill", "batch",
 }
 
 // String returns the kind mnemonic.
@@ -154,18 +159,25 @@ func (r OpRec) String() string {
 		return fmt.Sprintf("compile seed%d", r.Seed)
 	case KSpill:
 		return fmt.Sprintf("spill s%d", r.A)
+	case KBatch:
+		return fmt.Sprintf("batch n%d seed%d", batchSize(r), r.Seed)
 	}
 	return r.Kind.String()
 }
 
-// producing reports whether the record appends function slots, and how
-// many (circuits append up to circuitMaxOutputs).
-func (r OpRec) producing() bool {
+// produced is the number of function slots the record appends: one for
+// the single-result kinds, several for circuits and batches, none for
+// the checking kinds.
+func (r OpRec) produced() int {
 	switch r.Kind {
-	case KApply, KNot, KRestrict, KExists, KForall, KCircuit:
-		return true
+	case KApply, KNot, KRestrict, KExists, KForall:
+		return 1
+	case KCircuit:
+		return circuitOutputs(r)
+	case KBatch:
+		return batchSize(r)
 	}
-	return false
+	return 0
 }
 
 // Sequence is a deterministic operation program over Vars variables.
@@ -213,13 +225,16 @@ func Generate(cfg Config) Sequence {
 	for len(seq.Ops) < cfg.Ops {
 		r := OpRec{Seed: rng.Int63()}
 		switch p := rng.Intn(100); {
-		case p < 50:
+		case p < 46:
 			r.Kind = KApply
 			r.Op = core.Op(rng.Intn(numBinOps))
 			r.A, r.B = rng.Intn(slots), rng.Intn(slots)
 			if rng.Intn(8) == 0 {
 				r.B = r.A // same-operand applies hit the f==g terminal rules
 			}
+		case p < 50:
+			r.Kind = KBatch
+			r.A = rng.Intn(15) // 2..16 ops
 		case p < 57:
 			r.Kind = KNot
 			r.A = rng.Intn(slots)
@@ -267,13 +282,7 @@ func Generate(cfg Config) Sequence {
 			r.A, r.B = rng.Intn(slots), rng.Intn(slots)
 		}
 		seq.Ops = append(seq.Ops, r)
-		if r.producing() {
-			if r.Kind == KCircuit {
-				slots += circuitOutputs(r)
-			} else {
-				slots++
-			}
-		}
+		slots += r.produced()
 	}
 	return seq
 }
@@ -291,6 +300,9 @@ func circuitOutputs(r OpRec) int {
 	}
 	return 8
 }
+
+// batchSize is how many operations a KBatch record issues.
+func batchSize(r OpRec) int { return 2 + r.A%15 }
 
 // quantMask draws a non-empty subset of up to three variables.
 func quantMask(rng *rand.Rand, vars int) uint32 {

@@ -106,14 +106,11 @@ func (sh *shrinker) normalize(seq Sequence) Sequence {
 			r.Op, r.Var, r.Val, r.VarsMask = 0, 0, false, 0
 		case KSnapshot, KCompile:
 			r.Op, r.A, r.B, r.Var, r.Val, r.VarsMask = 0, 0, 0, 0, false, 0
+		case KBatch:
+			r.A %= 15
+			r.Op, r.B, r.Var, r.Val, r.VarsMask = 0, 0, 0, false, 0
 		}
-		if r.producing() {
-			if r.Kind == KCircuit {
-				slots += circuitOutputs(*r)
-			} else {
-				slots++
-			}
-		}
+		slots += r.produced()
 	}
 	if sh.check(out) {
 		return out
@@ -139,7 +136,7 @@ func (sh *shrinker) shrinkVars(seq Sequence) Sequence {
 var kindIdents = [numKinds]string{
 	"KApply", "KNot", "KRestrict", "KExists", "KForall", "KCircuit",
 	"KMeta", "KEval", "KAnySat", "KSatCount", "KGC", "KReorder", "KSnapshot", "KAbort",
-	"KCompile", "KSpill",
+	"KCompile", "KSpill", "KBatch",
 }
 
 var opIdents = [numBinOps]string{
