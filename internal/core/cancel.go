@@ -137,9 +137,8 @@ func (k *Kernel) abortTopLevel() {
 		w.ctxMu.Unlock()
 		w.nOps = 0
 		w.cancelCounter = 0
-		w.resetOps()
-		w.cache.InvalidateOps()
 	}
+	k.endTopLevel()
 }
 
 // interruptible reports whether ctx can ever be canceled; contexts without

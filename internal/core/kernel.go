@@ -238,6 +238,12 @@ type Kernel struct {
 	spillMu sync.Mutex
 
 	mem stats.Memory
+	// opHeld is the largest operator-arena footprint a top-level
+	// operation, finished or aborted, ended with since the last
+	// sampleMemory. Each operation's end gives blocks back, but a
+	// sequential batch samples once, after its last operation, and an
+	// abort samples not at all, so sampleMemory folds this in.
+	opHeld uint64
 }
 
 // NewKernel creates a kernel with the given options.
@@ -460,6 +466,8 @@ func (k *Kernel) sampleMemory() {
 	for i := range k.tables {
 		tableB += k.tables[i].Bytes()
 	}
+	opB = max(opB, k.opHeld)
+	k.opHeld = 0
 	k.overheadBytes.Store(cacheB + tableB)
 	// Node bytes are the resident (heap) footprint: spilled levels live
 	// in files and the page cache, not on this kernel's heap.
@@ -507,13 +515,16 @@ func (k *Kernel) Apply(op Op, f, g node.Ref) node.Ref {
 // by the terminal rules).
 func (k *Kernel) Not(f node.Ref) node.Ref { return k.Apply(OpXnor, f, node.Zero) }
 
-// endTopLevel recycles operator arenas and invalidates the uncomputed
-// entries of every compute cache; called when a top-level operation's
-// result has been produced.
+// endTopLevel recycles operator arenas, recording what they held for the
+// next sampleMemory, and invalidates the uncomputed entries of every
+// compute cache; called when a top-level operation's result has been
+// produced, and by abortTopLevel when it has been abandoned.
 func (k *Kernel) endTopLevel() {
+	var held uint64
 	for _, w := range k.workers {
 		w.checkQuiescent()
-		w.resetOps()
+		held += w.resetOps()
 		w.cache.InvalidateOps()
 	}
+	k.opHeld = max(k.opHeld, held)
 }

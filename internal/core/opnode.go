@@ -125,7 +125,22 @@ func (a *opArena) numBlocks() int {
 	return 0
 }
 
-// reset drops all operator nodes but keeps block storage for reuse.
-func (a *opArena) reset() { a.n = 0 }
+// reset drops all operator nodes, gives back every block but the first
+// and returns the bytes the arena held. A block kept for the next
+// operation counts in that operation's peak whether it needs the block
+// or not; the one-block floor lets a run of small operations reuse their
+// block instead of allocating it each time. reset runs only at
+// quiescence, when no peer holds the table it shortens.
+func (a *opArena) reset() uint64 {
+	held := a.bytes()
+	if t := a.blocks.Load(); t != nil && len(*t) > 1 {
+		s := *t
+		clear(s[1:])
+		s = s[:1]
+		a.blocks.Store(&s)
+	}
+	a.n = 0
+	return held
+}
 
 func (a *opArena) bytes() uint64 { return uint64(a.numBlocks()) * opBlockSize * opNodeBytes }

@@ -88,11 +88,13 @@ func (w *worker) opBytes() uint64 {
 	return total
 }
 
-func (w *worker) resetOps() {
+// resetOps recycles the operator arenas and returns the bytes they held.
+func (w *worker) resetOps() (held uint64) {
 	for i := range w.ops {
-		w.ops[i].reset()
+		held += w.ops[i].reset()
 	}
 	w.opAllocBytes.Store(0)
+	return held
 }
 
 // opAt resolves an operator-node handle, which may belong to any worker.

@@ -354,10 +354,10 @@ func TestBuildOneWorkerReplaysGateOrder(t *testing.T) {
 		steps, hits, terminals uint64
 		peakBytes, collections uint64
 	}{
-		{Multiplier(8), core.EnginePBF, 134937, 108384, 26932, 2674176, 14},
-		{Multiplier(8), core.EnginePar, 134937, 108384, 26932, 2674176, 14},
-		{C2670LikeScaled(4), core.EnginePBF, 985122, 855379, 130603, 16850432, 18},
-		{C2670LikeScaled(4), core.EnginePar, 985122, 855379, 130603, 16850432, 18},
+		{Multiplier(8), core.EnginePBF, 134937, 108384, 26932, 2673664, 14},
+		{Multiplier(8), core.EnginePar, 134937, 108384, 26932, 2673664, 14},
+		{C2670LikeScaled(4), core.EnginePBF, 985122, 855379, 130603, 15663616, 18},
+		{C2670LikeScaled(4), core.EnginePar, 985122, 855379, 130603, 15663616, 18},
 	}
 	for _, tc := range cases {
 		k := core.NewKernel(core.Options{
@@ -375,6 +375,32 @@ func TestBuildOneWorkerReplaysGateOrder(t *testing.T) {
 		if got != want {
 			t.Errorf("%s/%s: steps, cache hits, terminals, peak bytes, GCs = %v, want %v",
 				tc.c.Name, tc.engine, got, want)
+		}
+	}
+}
+
+// TestBuildReleaseGivesBackOpArenas builds mult-9, releases every output
+// and collects: the operator arenas then hold at most one block per
+// worker and level, not the high-water of the build's largest operation.
+// (mult-8's operations fit one block per level, so it cannot tell.)
+func TestBuildReleaseGivesBackOpArenas(t *testing.T) {
+	const opBlockBytes = 1024 * 48 // core's opBlockSize × opNodeBytes
+	c := Multiplier(9)
+	for _, opts := range []core.Options{
+		{Engine: core.EnginePBF},
+		{Engine: core.EnginePar, Workers: 2, Stealing: true},
+	} {
+		opts.Levels = c.NumInputs()
+		k := core.NewKernel(opts)
+		res, err := Build(k, c, identityOrder(c.NumInputs()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+		k.GC()
+		limit := uint64(max(opts.Workers, 1)*k.Levels()) * opBlockBytes
+		if got := k.Memory().OpBytes; got > limit {
+			t.Errorf("%s: operator bytes after release and GC = %d, want at most %d", opts.Engine, got, limit)
 		}
 	}
 }
