@@ -57,30 +57,40 @@ func BenchmarkBuildPeak(b *testing.B) {
 }
 
 // BenchmarkApplyMicro measures single Apply operations through the public
-// API (not a paper figure; a sanity baseline for library users).
+// API (not a paper figure; a sanity baseline for library users): f.Or(g)
+// of a 24-variable XOR and a 24-variable AND, freed each time, on managers
+// declaring 24, 1,024 and 16,384 variables. The operation touches the same
+// 24 levels at every size, so time that grows with the declared count is
+// per-level work it did not need.
 func BenchmarkApplyMicro(b *testing.B) {
-	configs := map[string][]bfbdd.Option{
-		"df":  {bfbdd.WithEngine(bfbdd.EngineDF)},
-		"pbf": {bfbdd.WithEngine(bfbdd.EnginePBF)},
-		"par": {bfbdd.WithEngine(bfbdd.EnginePar), bfbdd.WithWorkers(4)},
+	configs := []struct {
+		name string
+		opts []bfbdd.Option
+	}{
+		{"df", []bfbdd.Option{bfbdd.WithEngine(bfbdd.EngineDF)}},
+		{"pbf", []bfbdd.Option{bfbdd.WithEngine(bfbdd.EnginePBF)}},
+		{"par", []bfbdd.Option{bfbdd.WithEngine(bfbdd.EnginePar), bfbdd.WithWorkers(4)}},
 	}
-	for engName, opts := range configs {
-		b.Run(engName, func(b *testing.B) {
-			m := bfbdd.New(24, opts...)
-			f := m.Var(0)
-			for i := 1; i < 24; i++ {
-				f = f.Xor(m.Var(i))
-			}
-			g := m.Var(0)
-			for i := 1; i < 24; i++ {
-				g = g.And(m.Var(i))
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h := f.Or(g)
-				h.Free()
-			}
-		})
+	for _, c := range configs {
+		for _, vars := range []int{24, 1024, 16384} {
+			b.Run(fmt.Sprintf("%s/vars=%d", c.name, vars), func(b *testing.B) {
+				m := bfbdd.New(vars, c.opts...)
+				defer m.Close()
+				f := m.Var(0)
+				for i := 1; i < 24; i++ {
+					f = f.Xor(m.Var(i))
+				}
+				g := m.Var(0)
+				for i := 1; i < 24; i++ {
+					g = g.And(m.Var(i))
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					h := f.Or(g)
+					h.Free()
+				}
+			})
+		}
 	}
 }
 

@@ -8,7 +8,7 @@
 // ordered BDDs over them. Construction can run with one of five engines:
 //
 //   - EngineDF: conventional depth-first apply (Brace/Rudell/Bryant style),
-//   - EngineBF: pure breadth-first expansion/reduction,
+//   - EngineBF: pure breadth-first expansion/reduction (no threshold),
 //   - EngineHybrid: breadth-first until a memory threshold, then
 //     depth-first (Chen/Yang/Bryant),
 //   - EnginePBF: the paper's sequential partial breadth-first algorithm

@@ -26,6 +26,7 @@
 package cache
 
 import (
+	"sync/atomic"
 	"unsafe"
 
 	"bfbdd/internal/node"
@@ -70,10 +71,14 @@ type segment struct {
 	pressure uint64
 }
 
-// Cache is one worker's compute cache, segmented by variable level.
+// Cache is one worker's compute cache, segmented by variable level. It
+// is one 64-byte cache line (TestHotStructSizes in internal/core).
 type Cache struct {
-	segs    []segment
-	maxBits uint
+	segs []segment
+	// bytes is the segments' footprint. The owner writes it as segments
+	// are replaced; peers read it for the budget poll.
+	bytes   atomic.Int64
+	maxBits uint8
 	opGen   uint32
 
 	hits, misses, inserts uint64
@@ -82,10 +87,8 @@ type Cache struct {
 // New creates a cache with one segment per level. maxBits bounds each
 // segment at 2^maxBits entries.
 func New(levels int, maxBits uint) *Cache {
-	if maxBits < initialBits {
-		maxBits = initialBits
-	}
-	return &Cache{segs: make([]segment, levels), maxBits: maxBits}
+	maxBits = min(max(maxBits, initialBits), 63)
+	return &Cache{segs: make([]segment, levels), maxBits: uint8(maxBits)}
 }
 
 // Hits, Misses and Inserts return lookup/insert counters.
@@ -98,14 +101,9 @@ func (c *Cache) Inserts() uint64 { return c.inserts }
 // recycled at the end of a top-level operation.
 func (c *Cache) InvalidateOps() { c.opGen++ }
 
-// Bytes returns the cache's memory footprint.
-func (c *Cache) Bytes() uint64 {
-	var total uint64
-	for i := range c.segs {
-		total += uint64(len(c.segs[i].entries)) * entryBytes
-	}
-	return total
-}
+// Bytes returns the cache's memory footprint. Safe to call from any
+// goroutine.
+func (c *Cache) Bytes() uint64 { return uint64(c.bytes.Load()) }
 
 // Rebuild drops every entry, which a garbage collection leaves stale.
 // Each segment gets fresh storage at half its size; one that would fall
@@ -124,21 +122,27 @@ func (c *Cache) Shrink() uint64 { return c.rebuild(0) }
 func (c *Cache) rebuild(ceil int) uint64 {
 	before := c.Bytes()
 	for i := range c.segs {
-		if n := min(len(c.segs[i].entries)/2, ceil); n >= 1<<initialBits {
-			c.segs[i] = newSegment(n)
-		} else {
-			c.segs[i] = segment{}
+		n := min(len(c.segs[i].entries)/2, ceil)
+		if n < 1<<initialBits {
+			n = 0
 		}
+		c.setSegment(&c.segs[i], n)
 	}
 	return before - c.Bytes()
 }
 
-func newSegment(n int) segment {
-	s := segment{entries: make([]entry, n), mask: uint64(n) - 1}
+// setSegment gives s fresh, empty storage for n entries (none when n is
+// 0) and moves the size difference into the cache's byte count.
+func (c *Cache) setSegment(s *segment, n int) {
+	c.bytes.Add(int64(n-len(s.entries)) * int64(entryBytes))
+	if n == 0 {
+		*s = segment{}
+		return
+	}
+	*s = segment{entries: make([]entry, n), mask: uint64(n) - 1}
 	for i := range s.entries {
 		s.entries[i].f = emptyF
 	}
-	return s
 }
 
 func hash3(op uint8, f, g node.Ref) uint64 {
@@ -178,7 +182,7 @@ func (c *Cache) Lookup(level int, op uint8, f, g node.Ref) (Tagged, bool) {
 func (c *Cache) Insert(level int, op uint8, f, g node.Ref, val Tagged) {
 	s := &c.segs[level]
 	if s.entries == nil {
-		*s = newSegment(1 << initialBits)
+		c.setSegment(s, 1<<initialBits)
 	} else if s.pressure > uint64(len(s.entries)) && uint64(len(s.entries)) < 1<<c.maxBits {
 		c.growSegment(s)
 	}
@@ -193,7 +197,7 @@ func (c *Cache) Insert(level int, op uint8, f, g node.Ref, val Tagged) {
 // growSegment doubles a segment, rehashing live entries.
 func (c *Cache) growSegment(s *segment) {
 	old := s.entries
-	*s = newSegment(len(old) * 2)
+	c.setSegment(s, len(old)*2)
 	for i := range old {
 		if e := &old[i]; c.live(e) {
 			s.entries[hash3(e.op, e.f, e.g)&s.mask] = *e

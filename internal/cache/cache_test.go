@@ -154,9 +154,9 @@ func TestGenerationInvalidation(t *testing.T) {
 // budget rung, is the same rebuild with nothing kept.
 func TestRebuild(t *testing.T) {
 	c := New(4, 12)
-	c.segs[0] = newSegment(1 << 11)
-	c.segs[1] = newSegment(1 << (initialBits + 1))
-	c.segs[2] = newSegment(1 << initialBits)
+	c.setSegment(&c.segs[0], 1<<11)
+	c.setSegment(&c.segs[1], 1<<(initialBits+1))
+	c.setSegment(&c.segs[2], 1<<initialBits)
 	bddVal := FromRef(mkRef(0, 9))
 	type key struct {
 		level int

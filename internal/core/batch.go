@@ -50,7 +50,6 @@ func (k *Kernel) applyBatchInto(ops []BinOp, results []node.Ref) {
 			panic("core: Apply with invalid operand")
 		}
 	}
-	k.applySeq++
 
 	// Pin all operands across the batch-entry collection. The unpin is
 	// deferred so an aborted (canceled) batch does not leak pins. No

@@ -3,12 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"sort"
 	"sync/atomic"
 
 	"bfbdd/internal/faultinject"
-	"bfbdd/internal/node"
 )
 
 // Resource governance.
@@ -17,8 +17,8 @@ import (
 // Options.MaxBytes). Enforcement happens in two places:
 //
 //   - mid-build, the workers' amortized poll (pollCancel → checkBudget)
-//     compares cheap approximate usage counters against the budget. At
-//     the soft threshold (7/8 of the budget) it degrades gracefully by
+//     compares the live-node count and the memory account against the
+//     budget. At the soft threshold (7/8 of the budget) it degrades by
 //     lowering the effective partial-BF evaluation threshold toward
 //     depth-first — the paper's own memory-control knob (§3.1): a smaller
 //     threshold bounds the breadth-first queues and operator arenas at the
@@ -29,7 +29,8 @@ import (
 //     is quiescent, the remaining escalation steps run: force an early
 //     collection (which rebuilds the compute caches at half size), then
 //     free the caches outright (Cache.Shrink, the same rebuild with a
-//     ceiling of zero entries), and only if the pinned live state alone
+//     ceiling of zero entries) together with the operator blocks kept
+//     between operations, and only if the pinned live state alone
 //     still busts the budget, refuse the operation with *BudgetError
 //     before any transient state is built.
 //
@@ -173,35 +174,20 @@ func (k *Kernel) BudgetStats() BudgetStats {
 }
 
 // EffEvalThreshold returns the evaluation threshold currently in effect
-// (lowered from Options.EvalThreshold while degraded).
-func (k *Kernel) EffEvalThreshold() int { return int(k.effThreshold.Load()) }
-
-// MemBytes returns the kernel's approximate memory footprint: live
-// nodes, operator arenas of the build in flight, compute caches, and
-// unique-table buckets. Safe to call concurrently with a build.
-func (k *Kernel) MemBytes() uint64 { return k.approxMem(k.store.ApproxLive()) }
-
-// approxMem estimates total bytes from the approximate live-node count,
-// the per-worker operator-arena counters, and the cached cache+table
-// overhead (refreshed by sampleMemory at operation boundaries).
-func (k *Kernel) approxMem(live uint64) uint64 {
-	var opB uint64
-	for _, w := range k.workers {
-		opB += w.opAllocBytes.Load()
+// (lowered from Options.EvalThreshold while degraded), 0 while unbounded.
+func (k *Kernel) EffEvalThreshold() int {
+	if t := k.effThreshold.Load(); t < math.MaxInt64 {
+		return int(t)
 	}
-	m := live*node.NodeBytes + opB + k.overheadBytes.Load()
-	// Spilled levels live in files and the page cache, not on the heap;
-	// subtract them (clamped: spill files hold whole blocks, so their
-	// byte count can exceed the live-node estimate of those levels).
-	if t := k.tier.Load(); t != nil {
-		if sp := t.SpilledBytes(); sp < m {
-			m -= sp
-		} else if sp > 0 {
-			m = 0
-		}
-	}
-	return m
+	return 0
 }
+
+// MemBytes returns the kernel's memory footprint: heap-resident node
+// blocks, operator-arena blocks, compute-cache segments and unique-table
+// slots, read from the allocators' running account in O(workers). It is
+// the figure the peak samples and the byte budget compares. Safe to call
+// concurrently with a build.
+func (k *Kernel) MemBytes() uint64 { return k.account().Total() }
 
 // checkBudget is the mid-build budget poll, called from pollCancel on
 // the expansion/reduction paths (no unique-table lock held). It uses
@@ -212,8 +198,8 @@ func (k *Kernel) checkBudget() {
 	if !b.enabled {
 		return
 	}
-	live := k.store.ApproxLive()
-	mem := k.approxMem(live)
+	live := k.NumNodes()
+	mem := k.MemBytes()
 	if kind, over := b.overHard(live, mem); over {
 		k.abortBudget(kind, live, mem)
 	}
@@ -235,7 +221,7 @@ func (k *Kernel) degradeThreshold() {
 }
 
 // restoreThreshold undoes degradation once usage has fallen back below
-// the restore watermark. Boundary-only (reads arena state exactly).
+// the restore watermark. Boundary-only.
 func (k *Kernel) restoreThreshold(live, mem uint64) {
 	b := &k.budget
 	if !b.degraded.Load() {
@@ -317,9 +303,7 @@ func (k *Kernel) budgetGate() {
 		k.maybeGC()
 		return
 	}
-	k.store.SyncLive()
-	live := k.store.ApproxLive()
-	mem := k.approxMem(live)
+	live, mem := k.NumNodes(), k.MemBytes()
 	if !b.overSoft(live, mem) {
 		k.restoreThreshold(live, mem)
 		k.maybeGC()
@@ -328,8 +312,7 @@ func (k *Kernel) budgetGate() {
 	if k.gcInhibit == 0 {
 		k.GC()
 		b.forcedGCs.Add(1)
-		live = k.store.ApproxLive()
-		mem = k.approxMem(live)
+		live, mem = k.NumNodes(), k.MemBytes()
 		if !b.overSoft(live, mem) {
 			k.restoreThreshold(live, mem)
 			return
@@ -338,23 +321,23 @@ func (k *Kernel) budgetGate() {
 	var freed uint64
 	for _, w := range k.workers {
 		freed += w.cache.Shrink()
+		w.resetOps(0) // kept operator blocks: no collection frees them
 	}
 	if freed > 0 {
 		b.cacheShrinks.Add(1)
-		k.sampleMemory() // refresh overheadBytes now that caches are empty
-		mem = k.approxMem(live)
 	}
+	mem = k.MemBytes()
 	k.degradeThreshold()
 	if kind, over := b.overHard(live, mem); over {
 		// Last rung before the typed abort: a byte overage can still be
 		// relieved by tiering the coldest (deepest) levels to disk — live
 		// nodes keep their identity, only their bytes leave the heap. A
 		// node overage cannot (spilling does not reduce the node count).
-		if kind == "bytes" && k.spillColdest(live, &mem) {
-			if _, still := b.overHard(live, mem); !still {
+		if kind == "bytes" && k.spillColdest(live) {
+			mem = k.MemBytes()
+			if kind, over = b.overHard(live, mem); !over {
 				return
 			}
-			kind, _ = b.overHard(live, mem)
 		}
 		b.aborts.Add(1)
 		e := k.newBudgetError(kind, live, mem)

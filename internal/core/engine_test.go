@@ -354,6 +354,26 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
+// TestBFThresholdUnbounded: the pure breadth-first engine ignores the
+// configured evaluation threshold, so a build that makes the partial
+// breadth-first engine push contexts makes it push none.
+func TestBFThresholdUnbounded(t *testing.T) {
+	pushes := map[Engine]uint64{}
+	for _, eng := range []Engine{EngineBF, EnginePBF} {
+		k := NewKernel(Options{Levels: 24, Engine: eng, EvalThreshold: 64})
+		rng := rand.New(rand.NewSource(3))
+		k.Apply(OpXor, randomDNF(k, rng, 24, 32, 8), randomDNF(k, rng, 24, 32, 8))
+		pushes[eng] = k.TotalStats().ContextPushes
+		if eng == EngineBF && k.EffEvalThreshold() != 0 {
+			t.Fatalf("bf EffEvalThreshold = %d, want 0 (unbounded)", k.EffEvalThreshold())
+		}
+		k.Close()
+	}
+	if pushes[EnginePBF] == 0 || pushes[EngineBF] != 0 {
+		t.Fatalf("context pushes: pbf %d, bf %d; want some, none", pushes[EnginePBF], pushes[EngineBF])
+	}
+}
+
 func TestParallelStressRace(t *testing.T) {
 	// Heavy random workload with many workers, tiny thresholds and
 	// stealing; meant to run under -race.

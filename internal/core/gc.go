@@ -88,13 +88,16 @@ func (k *Kernel) GC() {
 	for _, w := range k.workers {
 		w.cache.Rebuild()
 	}
-	// Reconcile the approximate live counters with post-collection truth
-	// (frees and compaction moves are invisible to NoteAlloc).
+	// Re-derive the counts a collection changes: frees and moves change
+	// live nodes and blocks, and the rehash or sweep resizes every table.
 	k.store.SyncLive()
-	k.gcLiveAfter = k.store.NumNodes()
+	var tableB uint64
+	for i := range k.tables {
+		tableB += k.tables[i].Bytes()
+	}
+	k.tableBytes.Store(tableB)
+	k.gcLiveAfter = k.NumNodes()
 	k.mem.GCCount++
-	k.mem.GCPauseNs += int64(time.Since(t0))
-	k.mem.LastLiveNds = k.gcLiveAfter
 	k.sampleMemory()
 	if k.btr != nil {
 		after := k.TotalStats()

@@ -172,22 +172,22 @@ func TestGCFreeListReusesSlots(t *testing.T) {
 	for v := 0; v < 8; v++ {
 		f = k.Apply(OpAnd, f, k.VarRef(v))
 	}
-	bytesBefore := k.Store().Bytes()
+	bytesBefore := k.Store().ResidentBytes()
 	k.GC() // everything dead
 	if k.NumNodes() != 0 {
 		t.Fatalf("live = %d", k.NumNodes())
 	}
 	// Free-list policy keeps the blocks...
-	if k.Store().Bytes() != bytesBefore {
-		t.Fatalf("free-list GC changed block storage: %d -> %d", bytesBefore, k.Store().Bytes())
+	if k.Store().ResidentBytes() != bytesBefore {
+		t.Fatalf("free-list GC changed block storage: %d -> %d", bytesBefore, k.Store().ResidentBytes())
 	}
 	// ...and rebuilding reuses freed slots without growing storage.
 	g := node.One
 	for v := 0; v < 8; v++ {
 		g = k.Apply(OpAnd, g, k.VarRef(v))
 	}
-	if k.Store().Bytes() != bytesBefore {
-		t.Fatalf("rebuild grew storage: %d -> %d", bytesBefore, k.Store().Bytes())
+	if k.Store().ResidentBytes() != bytesBefore {
+		t.Fatalf("rebuild grew storage: %d -> %d", bytesBefore, k.Store().ResidentBytes())
 	}
 	if k.Size(g) != 8 {
 		t.Fatalf("rebuilt size = %d", k.Size(g))
@@ -201,10 +201,10 @@ func TestGCCompactReleasesStorage(t *testing.T) {
 		g := k.Apply(OpXor, k.VarRef(v), k.VarRef((v+1)%16))
 		f = k.Apply(OpAnd, f, g)
 	}
-	bytesBefore := k.Store().Bytes()
+	bytesBefore := k.Store().ResidentBytes()
 	k.GC() // all dead
-	if k.Store().Bytes() >= bytesBefore {
-		t.Fatalf("compacting GC kept storage: %d -> %d", bytesBefore, k.Store().Bytes())
+	if k.Store().ResidentBytes() >= bytesBefore {
+		t.Fatalf("compacting GC kept storage: %d -> %d", bytesBefore, k.Store().ResidentBytes())
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -99,6 +100,7 @@ type Options struct {
 	// EvalThreshold is the partial breadth-first evaluation threshold:
 	// the number of Shannon expansions performed in one evaluation
 	// context before the remainder is pushed as a new context (§3.1).
+	// EngineBF ignores it: its threshold is unbounded.
 	EvalThreshold int
 	// GroupSize is the number of operations per stealable group when a
 	// context is pushed (§3.3).
@@ -117,17 +119,13 @@ type Options struct {
 	GCMinNodes uint64
 	// Stealing enables work stealing (EnginePar; disable for ablation).
 	Stealing bool
-	// Locking forces unique-table locking even with one worker, matching
-	// the paper's distinction between the "Seq" row (no locks) and the
-	// 1-processor parallel run (locks present).
-	Locking bool
 	// MaxNodes, when non-zero, bounds the live node count. Approaching
 	// the limit triggers graceful degradation (forced GC, cache shrink,
 	// evaluation-threshold drop toward depth-first); exceeding it aborts
 	// the build in flight with a typed *BudgetError. See budget.go.
 	MaxNodes uint64
-	// MaxBytes, when non-zero, bounds the kernel's approximate total
-	// memory footprint the same way.
+	// MaxBytes, when non-zero, bounds the kernel's memory footprint,
+	// the figure MemBytes reports and the peak samples, the same way.
 	MaxBytes uint64
 	// SpillDir, when non-empty, enables memory tiering: quiescent
 	// fully-reduced levels can be spilled to level-major files under this
@@ -146,7 +144,9 @@ func (o Options) withDefaults() Options {
 	if o.Engine != EnginePar {
 		o.Workers = 1
 	}
-	if o.EvalThreshold <= 0 {
+	if o.Engine == EngineBF {
+		o.EvalThreshold = math.MaxInt
+	} else if o.EvalThreshold <= 0 {
 		o.EvalThreshold = 1 << 16
 	}
 	if o.GroupSize <= 0 {
@@ -160,9 +160,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.GCMinNodes == 0 {
 		o.GCMinNodes = 1 << 18
-	}
-	if o.Engine == EnginePar {
-		o.Locking = true
 	}
 	return o
 }
@@ -204,9 +201,6 @@ type Kernel struct {
 	batchWG     sync.WaitGroup
 	batchRoots  []cache.Tagged
 
-	// applySeq numbers top-level operations (diagnostics).
-	applySeq uint64
-
 	// interrupt is the cancellation probe for the build in flight (nil
 	// when the build is not interruptible); abortErr records the error
 	// observed by the first worker to notice a cancellation. See cancel.go.
@@ -226,9 +220,9 @@ type Kernel struct {
 	// configured EvalThreshold normally, lowered under memory pressure
 	// (the paper's partial-BF memory knob, §3.1). Read by every expand.
 	effThreshold atomic.Int64
-	// overheadBytes caches the cache+table bytes from the last
-	// sampleMemory, so the mid-build budget poll avoids recomputing it.
-	overheadBytes atomic.Uint64
+	// tableBytes is the unique tables' slot bytes. Between collections a
+	// table grows only in FindOrAdd, whose growth findOrAdd adds.
+	tableBytes atomic.Uint64
 	// budget is the resource-governance state (see budget.go).
 	budget budgetState
 
@@ -319,11 +313,24 @@ func (k *Kernel) mkNode(worker, level int, low, high node.Ref) node.Ref {
 	}
 	k.pinLevel(level) // FindOrAdd may allocate into this level's arena
 	t := &k.tables[level]
-	if k.opts.Locking {
+	// Par locks even with one worker: Fig 8's "Seq" row has no locks.
+	if k.opts.Engine == EnginePar {
 		k.workers[worker].st.LockWaitNs += int64(t.Lock())
 		defer t.Unlock()
 	}
-	return t.FindOrAdd(k.store, worker, level, low, high)
+	return k.findOrAdd(t, worker, level, low, high)
+}
+
+// findOrAdd calls t.FindOrAdd and adds its slot growth to the account;
+// the count is kept here because a wider Table built slower (see
+// TestHotStructSizes). The caller holds the lock if the engine locks.
+func (k *Kernel) findOrAdd(t *unique.Table, worker, level int, low, high node.Ref) node.Ref {
+	slots := t.Bytes()
+	r := t.FindOrAdd(k.store, worker, level, low, high)
+	if grown := t.Bytes() - slots; grown > 0 {
+		k.tableBytes.Add(grown)
+	}
+	return r
 }
 
 // MkNode is the exported canonical node constructor (used by the public
@@ -373,7 +380,7 @@ func (k *Kernel) Close() {
 	k.pins = make(map[*Pin]struct{})
 	k.pinsMu.Unlock()
 	for _, w := range k.workers {
-		w.resetOps()
+		w.resetOps(0)
 		w.ops = nil
 		w.cache = nil
 		w.pending = nil
@@ -455,23 +462,24 @@ func (k *Kernel) ReleaseGC() {
 // a collection the store's allocation counters are exact (see ApproxLive).
 func (k *Kernel) NumNodes() uint64 { return k.store.ApproxLive() }
 
-// sampleMemory refreshes the memory accounting and peak.
-func (k *Kernel) sampleMemory() {
-	var opB, cacheB uint64
+// account reads the memory account, the bytes the allocators hold as
+// they count them (heap-resident node blocks, operator blocks, cache
+// segments, table slots), in O(workers). Safe during a build: every
+// count is atomic, and a figure read mid-build is a moment's value.
+func (k *Kernel) account() stats.Parts {
+	a := stats.Parts{NodeBytes: k.store.ResidentBytes(), TableBytes: k.tableBytes.Load()}
 	for _, w := range k.workers {
-		opB += w.opBytes()
-		cacheB += w.cache.Bytes()
+		a.OpBytes += w.opBytes.Load()
+		a.CacheBytes += w.cache.Bytes()
 	}
-	var tableB uint64
-	for i := range k.tables {
-		tableB += k.tables[i].Bytes()
-	}
-	opB = max(opB, k.opHeld)
+	return a
+}
+
+// sampleMemory records the account and raises the peak.
+func (k *Kernel) sampleMemory() {
+	a := k.account()
+	k.mem.Sample(a.NodeBytes, max(a.OpBytes, k.opHeld), a.CacheBytes, a.TableBytes)
 	k.opHeld = 0
-	k.overheadBytes.Store(cacheB + tableB)
-	// Node bytes are the resident (heap) footprint: spilled levels live
-	// in files and the page cache, not on this kernel's heap.
-	k.mem.Sample(k.store.ResidentBytes(), opB, cacheB, tableB)
 	// sampleMemory runs only at quiescent boundaries, which is exactly
 	// when mappings retired by mid-build unspills become unreferenced.
 	if t := k.tier.Load(); t != nil {
@@ -486,7 +494,7 @@ func (k *Kernel) maybeGC() {
 	if k.gcInhibit > 0 {
 		return
 	}
-	live := k.store.NumNodes()
+	live := k.NumNodes()
 	if live < k.opts.GCMinNodes {
 		return
 	}
@@ -523,7 +531,7 @@ func (k *Kernel) endTopLevel() {
 	var held uint64
 	for _, w := range k.workers {
 		w.checkQuiescent()
-		held += w.resetOps()
+		held += w.resetOps(1)
 		w.cache.InvalidateOps()
 	}
 	k.opHeld = max(k.opHeld, held)

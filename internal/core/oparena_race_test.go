@@ -29,7 +29,7 @@ func TestOpArenaPublishRace(t *testing.T) {
 func TestOpArenaTrimRace(t *testing.T) {
 	var a opArena
 	allocWhileRead(t, &a, 8*opBlockSize)
-	if got, want := a.reset(), uint64(8*opBlockSize*opNodeBytes); got != want {
+	if got, want := a.reset(1), uint64(8*opBlockSize*opNodeBytes); got != want {
 		t.Errorf("reset returned %d held bytes, want %d", got, want)
 	}
 	if got, want := a.bytes(), uint64(opBlockSize*opNodeBytes); got != want {

@@ -70,6 +70,7 @@ const (
 	opBlockShift = 10
 	opBlockSize  = 1 << opBlockShift
 	opBlockMask  = opBlockSize - 1
+	opBlockBytes = opBlockSize * opNodeBytes
 )
 
 // opArena is the operator-node manager for one (worker, variable) pair.
@@ -90,9 +91,10 @@ type opArena struct {
 
 type opBlock [opBlockSize]opNode
 
-func (a *opArena) alloc(op Op, f, g node.Ref) uint32 {
+// alloc allocates an operator node, reporting whether it added a block.
+func (a *opArena) alloc(op Op, f, g node.Ref) (idx uint32, grew bool) {
 	i := a.n
-	if i&opBlockMask == 0 && int(i>>opBlockShift) == a.numBlocks() {
+	if grew = i&opBlockMask == 0 && int(i>>opBlockShift) == a.numBlocks(); grew {
 		a.grow()
 	}
 	a.n++
@@ -101,7 +103,7 @@ func (a *opArena) alloc(op Op, f, g node.Ref) uint32 {
 	nd.b0, nd.b1 = 0, 0
 	nd.result.Store(uint64(node.Nil))
 	nd.state.Store(opClaimed)
-	return i
+	return i, grew
 }
 
 // grow publishes a block table one block longer.
@@ -125,22 +127,22 @@ func (a *opArena) numBlocks() int {
 	return 0
 }
 
-// reset drops all operator nodes, gives back every block but the first
-// and returns the bytes the arena held. A block kept for the next
+// reset drops all operator nodes, gives back every block past the first
+// keep and returns the bytes the arena held. A block kept for the next
 // operation counts in that operation's peak whether it needs the block
-// or not; the one-block floor lets a run of small operations reuse their
+// or not; a one-block floor lets a run of small operations reuse their
 // block instead of allocating it each time. reset runs only at
 // quiescence, when no peer holds the table it shortens.
-func (a *opArena) reset() uint64 {
+func (a *opArena) reset(keep int) uint64 {
 	held := a.bytes()
-	if t := a.blocks.Load(); t != nil && len(*t) > 1 {
+	if t := a.blocks.Load(); t != nil && len(*t) > keep {
 		s := *t
-		clear(s[1:])
-		s = s[:1]
+		clear(s[keep:])
+		s = s[:keep]
 		a.blocks.Store(&s)
 	}
 	a.n = 0
 	return held
 }
 
-func (a *opArena) bytes() uint64 { return uint64(a.numBlocks()) * opBlockSize * opNodeBytes }
+func (a *opArena) bytes() uint64 { return uint64(a.numBlocks()) * opBlockBytes }

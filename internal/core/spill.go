@@ -232,7 +232,7 @@ func (k *Kernel) spillOneLocked(t *spill.Tier, level int) error {
 // degradation, spill levels deepest-first until usage drops below the
 // soft threshold (or nothing spillable remains). Returns whether any
 // level was spilled. Quiescent (budgetGate) only.
-func (k *Kernel) spillColdest(live uint64, mem *uint64) bool {
+func (k *Kernel) spillColdest(live uint64) bool {
 	t := k.tier.Load()
 	if t == nil {
 		return false
@@ -251,8 +251,7 @@ func (k *Kernel) spillColdest(live uint64, mem *uint64) bool {
 			break
 		}
 		spilled++
-		*mem = k.approxMem(live)
-		if !k.budget.overSoft(live, *mem) {
+		if !k.budget.overSoft(live, k.MemBytes()) {
 			break
 		}
 	}
@@ -261,7 +260,6 @@ func (k *Kernel) spillColdest(live uint64, mem *uint64) bool {
 	}
 	k.budget.spills.Add(1)
 	k.sampleMemory()
-	*mem = k.approxMem(live)
 	if k.btr != nil {
 		k.btr.Add(k.btrParent, "spill", t0, time.Now(),
 			trace.I("levels", int64(spilled)), trace.I("spilled_bytes", int64(t.SpilledBytes())))

@@ -108,15 +108,17 @@ func TestBudgetSpillRung(t *testing.T) {
 	p := k.Pin(f)
 	defer k.Unpin(p)
 	k.GC() // settle live state
-	liveBytes := k.NumNodes() * node.NodeBytes
-	if liveBytes == 0 {
-		t.Fatal("no live bytes to pressure")
+	a := k.account()
+	if a.NodeBytes == 0 {
+		t.Fatal("no node bytes to pressure")
 	}
-	// A byte budget below even the pinned live-node bytes: GC and cache
-	// shrink cannot relieve it, so without the spill rung the next Apply
-	// would refuse with *BudgetError. With it, the coldest levels tier
-	// down instead and the build proceeds.
-	k.SetBudget(0, liveBytes/2)
+	// A byte budget half the node blocks below what neither a forced GC
+	// nor the cache-shrink rung can free (the pinned nodes and the table
+	// slots; that rung frees the cache and the operator blocks), so
+	// without the spill rung the next Apply would refuse with
+	// *BudgetError. With it, the coldest levels tier down instead and
+	// the build proceeds.
+	k.SetBudget(0, a.Total()-a.CacheBytes-a.OpBytes-a.NodeBytes/2)
 	g := k.Apply(OpAnd, p.Ref(), k.VarRef(1))
 	_ = g
 	bs := k.BudgetStats()

@@ -72,9 +72,9 @@ func TestForceResolveDirect(t *testing.T) {
 
 	// Fabricate a parent whose branch is a claimed-but-never-finished op
 	// belonging to worker 1.
-	childIdx := w1.ops[0].alloc(OpAnd, x0, x1)
+	childIdx, _ := w1.ops[0].alloc(OpAnd, x0, x1)
 	childHandle := makeOpRef(1, 0, childIdx)
-	parentIdx := w0.ops[0].alloc(OpOr, x0, x1)
+	parentIdx, _ := w0.ops[0].alloc(OpOr, x0, x1)
 	parent := w0.ops[0].at(parentIdx)
 	parent.b0 = childHandle.tagged()
 	parent.b1 = cache.FromRef(x0)

@@ -57,10 +57,9 @@ type worker struct {
 	ctxMu sync.Mutex
 	ctxs  []*evalContext // registered stealable contexts, oldest first
 
-	// opAllocBytes mirrors the operator-arena footprint of the build in
-	// flight for the cheap mid-build budget poll; exact accounting stays
-	// in opBytes. Atomic because peers read it from checkBudget.
-	opAllocBytes atomic.Uint64
+	// opBytes counts the operator arenas' blocks as they grow and as
+	// resetOps gives them back; atomic because checkBudget reads it.
+	opBytes atomic.Uint64
 
 	st  stats.Worker
 	rng uint64
@@ -80,20 +79,15 @@ func newWorker(k *Kernel, id int) *worker {
 	return w
 }
 
-func (w *worker) opBytes() uint64 {
-	var total uint64
+// resetOps recycles the operator arenas, keeping at most keep blocks in
+// each, and returns the bytes they held.
+func (w *worker) resetOps(keep int) (held uint64) {
+	var kept uint64
 	for i := range w.ops {
-		total += w.ops[i].bytes()
+		held += w.ops[i].reset(keep)
+		kept += w.ops[i].bytes()
 	}
-	return total
-}
-
-// resetOps recycles the operator arenas and returns the bytes they held.
-func (w *worker) resetOps() (held uint64) {
-	for i := range w.ops {
-		held += w.ops[i].reset()
-	}
-	w.opAllocBytes.Store(0)
+	w.opBytes.Store(kept)
 	return held
 }
 
@@ -151,8 +145,10 @@ func (w *worker) preprocess(op Op, f, g node.Ref) cache.Tagged {
 			panic(err)
 		}
 	}
-	idx := w.ops[lvl].alloc(op, f, g)
-	w.opAllocBytes.Add(opNodeBytes)
+	idx, grew := w.ops[lvl].alloc(op, f, g)
+	if grew {
+		w.opBytes.Add(opBlockBytes)
+	}
 	h := makeOpRef(w.id, lvl, idx)
 	w.enqueue(lvl, h)
 	w.cache.Insert(lvl, uint8(op), f, g, h.tagged())
@@ -477,7 +473,7 @@ func (w *worker) reduceAll(rq [][]opRef) {
 func (w *worker) reducePass(lvl int, q []opRef) (deferred []opRef) {
 	k := w.k
 	t := &k.tables[lvl]
-	locking := k.opts.Locking
+	locking := k.opts.Engine == EnginePar
 	locked := false
 	defer func() {
 		if locked {
@@ -504,7 +500,7 @@ func (w *worker) reducePass(lvl int, q []opRef) (deferred []opRef) {
 				w.st.LockWaitNs += int64(t.Lock())
 				locked = true
 			}
-			res = t.FindOrAdd(k.store, w.id, lvl, r0, r1)
+			res = k.findOrAdd(t, w.id, lvl, r0, r1)
 		}
 		o.setResult(res)
 		w.st.ReducedOps++

@@ -92,10 +92,8 @@ func (a *Arena) Bytes() uint64 {
 // spill-file mapping rather than heap memory.
 func (a *Arena) Mapped() bool { return a.mapped.Load() }
 
-// ResidentBytes returns the heap footprint of the arena's node storage:
-// zero while the blocks alias a spill mapping (those bytes are the OS
-// page cache's to keep or drop), Bytes() otherwise.
-func (a *Arena) ResidentBytes() uint64 {
+// residentBytes is Bytes for a heap arena and zero for a mapped one.
+func (a *Arena) residentBytes() uint64 {
 	if a.mapped.Load() {
 		return 0
 	}
@@ -139,22 +137,29 @@ func (a *Arena) At(i uint64) *Node {
 
 // Alloc allocates a new node slot initialized to (low, high) and returns
 // its index. If the free-list has entries they are reused first. Only the
-// owning worker may call Alloc.
+// owning worker may call Alloc. The store's arenas allocate through
+// Store.NewNode instead, which counts the node and any block it adds.
 func (a *Arena) Alloc(low, high Ref) uint64 {
+	i, _ := a.alloc(low, high)
+	return i
+}
+
+// alloc is Alloc, also reporting whether it appended a block.
+func (a *Arena) alloc(low, high Ref) (i uint64, grew bool) {
 	if a.mapped.Load() {
 		panic("node: allocation into mapped (spilled) arena")
 	}
 	if a.free != 0 {
-		i := a.free - 1
+		i = a.free - 1
 		nd := a.At(i)
 		a.free = uint64(nd.Low)
 		a.nFree--
 		nd.Low, nd.High = low, high
-		return i
+		return i, false
 	}
-	i := a.n
+	i = a.n
 	bs := a.loadBlocks()
-	if i>>BlockShift == uint64(len(bs)) {
+	if grew = i>>BlockShift == uint64(len(bs)); grew {
 		// Copy-on-write: concurrent readers keep resolving old indices
 		// through the table they already loaded.
 		nb := make([][]Node, len(bs)+1)
@@ -166,7 +171,7 @@ func (a *Arena) Alloc(low, high Ref) uint64 {
 	a.n++
 	nd := &bs[i>>BlockShift][i&blockMask]
 	nd.Low, nd.High = low, high
-	return i
+	return i, grew
 }
 
 // Free pushes slot i onto the free list (free-list GC policy only). The

@@ -235,8 +235,8 @@ func TestStoreBasics(t *testing.T) {
 	if s.NodesAtLevel(2) != 1 || s.NodesAtLevel(0) != 0 {
 		t.Fatalf("NodesAtLevel: %d, %d", s.NodesAtLevel(2), s.NodesAtLevel(0))
 	}
-	if s.Bytes() == 0 {
-		t.Fatal("Bytes = 0 after allocation")
+	if s.ResidentBytes() != BlockSize*NodeBytes {
+		t.Fatalf("ResidentBytes = %d after one allocation, want one block", s.ResidentBytes())
 	}
 }
 

@@ -11,23 +11,23 @@ import (
 // node creation during the reduction phase allocates from worker-local
 // memory (the paper's per-process BDD-node managers).
 //
-// The store also keeps a per-worker approximate live-node counter so that
-// budget enforcement can poll total usage in O(workers) instead of walking
-// the full worker×level arena matrix. Allocation sites bump the counter of
-// the allocating worker (own-cacheline slot, no contention); SyncLive
-// recomputes the exact figure from the arenas at collection boundaries.
+// The store also counts, per worker, live nodes and heap-resident block
+// bytes, so usage reads in O(workers) instead of walking the worker×level
+// arena matrix. NewNode and AdoptBlocks keep the counts, and SyncLive
+// recomputes them from the arenas after a collection.
 type Store struct {
 	workers int
 	levels  int
 	arenas  [][]Arena // [worker][level]
-	live    []liveCounter
+	counts  []workerCounts
 }
 
-// liveCounter is padded to its own cache line so per-worker allocation
+// workerCounts is padded to its own cache line so per-worker allocation
 // bursts do not false-share.
-type liveCounter struct {
-	n atomic.Uint64
-	_ [7]uint64
+type workerCounts struct {
+	live  atomic.Uint64
+	bytes atomic.Int64 // heap-resident node blocks
+	_     [6]uint64
 }
 
 // NewStore creates a store for the given worker count and variable count.
@@ -43,38 +43,57 @@ func NewStore(workers, levels int) *Store {
 	for w := range s.arenas {
 		s.arenas[w] = make([]Arena, levels)
 	}
-	s.live = make([]liveCounter, workers)
+	s.counts = make([]workerCounts, workers)
 	return s
 }
 
-// NoteAlloc records one node allocation by worker in the approximate
-// live counter. Call sites that allocate through an Arena directly (the
-// unique tables, NewNode) must pair every Alloc with a NoteAlloc.
-func (s *Store) NoteAlloc(worker int) { s.live[worker].n.Add(1) }
-
-// ApproxLive returns the live node count maintained by NoteAlloc/SyncLive.
+// ApproxLive returns the live node count kept by NewNode and SyncLive.
 // Only a collection frees nodes, and it ends with SyncLive, so the count
 // is exact everywhere but inside a collection, where it can drift above
 // the true figure (the safe direction for budget enforcement).
 func (s *Store) ApproxLive() uint64 {
 	var total uint64
-	for w := range s.live {
-		total += s.live[w].n.Load()
+	for w := range s.counts {
+		total += s.counts[w].live.Load()
 	}
 	return total
 }
 
-// SyncLive recomputes the per-worker live counters exactly from the
-// arenas. Callers must be quiescent with respect to allocation (it runs
-// at GC and top-level-operation boundaries).
+// ResidentBytes returns the bytes of node blocks on the heap, excluding
+// levels whose blocks alias a read-only spill mapping (those bytes are
+// the OS page cache's to keep or drop). Safe during a build.
+func (s *Store) ResidentBytes() uint64 {
+	var total int64
+	for w := range s.counts {
+		total += s.counts[w].bytes.Load()
+	}
+	return uint64(total)
+}
+
+// SyncLive recomputes the per-worker live counts and resident bytes
+// exactly from the arenas. Callers must be quiescent with respect to
+// allocation (it ends every collection, which moves and frees nodes).
 func (s *Store) SyncLive() {
 	for w := range s.arenas {
-		var n uint64
+		var n, b uint64
 		for l := range s.arenas[w] {
-			n += s.arenas[w][l].Live()
+			a := &s.arenas[w][l]
+			n += a.Live()
+			b += a.residentBytes()
 		}
-		s.live[w].n.Store(n)
+		s.counts[w].live.Store(n)
+		s.counts[w].bytes.Store(int64(b))
 	}
+}
+
+// AdoptBlocks is Arena.AdoptBlocks on (worker, level), counting the
+// change in heap-resident bytes. The spill tier calls it, mid-build too,
+// from any worker.
+func (s *Store) AdoptBlocks(worker, level int, blocks [][]Node, n, free, nFree uint64, mapped bool) {
+	a := &s.arenas[worker][level]
+	before := a.residentBytes()
+	a.AdoptBlocks(blocks, n, free, nFree, mapped)
+	s.counts[worker].bytes.Add(int64(a.residentBytes()) - int64(before))
 }
 
 // Workers returns the number of worker arena rows.
@@ -111,35 +130,16 @@ func (s *Store) High(r Ref, level int) Ref {
 }
 
 // NewNode allocates a node at (worker, level) and returns its Ref. It does
-// not consult any unique table; that is the caller's responsibility.
+// not consult any unique table; that is the caller's responsibility. Only
+// the worker that owns the arena row may call it.
 func (s *Store) NewNode(worker, level int, low, high Ref) Ref {
-	idx := s.arenas[worker][level].Alloc(low, high)
-	s.NoteAlloc(worker)
+	idx, grew := s.arenas[worker][level].alloc(low, high)
+	c := &s.counts[worker]
+	c.live.Add(1)
+	if grew {
+		c.bytes.Add(BlockSize * NodeBytes)
+	}
 	return MakeRef(level, worker, idx)
-}
-
-// Bytes returns the total node-storage footprint across all arenas.
-func (s *Store) Bytes() uint64 {
-	var total uint64
-	for w := range s.arenas {
-		for l := range s.arenas[w] {
-			total += s.arenas[w][l].Bytes()
-		}
-	}
-	return total
-}
-
-// ResidentBytes returns the heap node-storage footprint across all
-// arenas, excluding levels whose blocks currently alias a read-only
-// spill mapping.
-func (s *Store) ResidentBytes() uint64 {
-	var total uint64
-	for w := range s.arenas {
-		for l := range s.arenas[w] {
-			total += s.arenas[w][l].ResidentBytes()
-		}
-	}
-	return total
 }
 
 // LevelBytes returns the node-storage footprint of one variable level
@@ -154,7 +154,8 @@ func (s *Store) LevelBytes(level int) (bytes uint64, mapped bool) {
 	return bytes, mapped
 }
 
-// NumNodes returns the total count of live nodes across all arenas.
+// NumNodes returns the total count of live nodes across all arenas,
+// walking every arena; ApproxLive reads the same figure from the counts.
 func (s *Store) NumNodes() uint64 {
 	var total uint64
 	for w := range s.arenas {

@@ -401,7 +401,7 @@ func (s *Server) writeSessionMetrics(bw *bufio.Writer) {
 			func(st *sessionStats) string { return fmt.Sprint(st.PeakBytes) }},
 		{"bfbdd_session_mem_bytes", "Current explicit memory footprint.", "gauge",
 			func(st *sessionStats) string { return fmt.Sprint(st.MemBytes) }},
-		{"bfbdd_session_eval_threshold", "Effective partial-BF evaluation threshold (drops under memory pressure).", "gauge",
+		{"bfbdd_session_eval_threshold", "Effective partial-BF evaluation threshold (drops under memory pressure; 0 = unbounded).", "gauge",
 			func(st *sessionStats) string { return fmt.Sprint(st.EffEvalThreshold) }},
 		{"bfbdd_session_budget_forced_gcs_total", "Collections forced by the budget's degradation ladder.", "counter",
 			func(st *sessionStats) string { return fmt.Sprint(st.BudgetForcedGCs) }},

@@ -266,7 +266,7 @@ func (t *Tier) SpillLevel(st *node.Store, level int) error {
 		for w := 0; w < workers; w++ {
 			nb := int(segs[w].nBlocks)
 			if nb == 0 {
-				st.Arena(w, level).AdoptBlocks(nil, segs[w].n, segs[w].free, segs[w].nFree, true)
+				st.AdoptBlocks(w, level, nil, segs[w].n, segs[w].free, segs[w].nFree, true)
 				continue
 			}
 			mblocks := make([][]Node, nb)
@@ -274,13 +274,13 @@ func (t *Tier) SpillLevel(st *node.Store, level int) error {
 				mblocks[b] = bytesAsNodes(data[off : off+blockBytes])
 				off += blockBytes
 			}
-			st.Arena(w, level).AdoptBlocks(mblocks, segs[w].n, segs[w].free, segs[w].nFree, true)
+			st.AdoptBlocks(w, level, mblocks, segs[w].n, segs[w].free, segs[w].nFree, true)
 		}
 	} else {
 		// Portable fallback: heap blocks are simply released; the level
 		// must be unspilled before any read.
 		for w := 0; w < workers; w++ {
-			st.Arena(w, level).AdoptBlocks(nil, segs[w].n, segs[w].free, segs[w].nFree, true)
+			st.AdoptBlocks(w, level, nil, segs[w].n, segs[w].free, segs[w].nFree, true)
 		}
 	}
 
@@ -420,7 +420,7 @@ func (t *Tier) unspillLocked(st *node.Store, level int) error {
 				off += blockBytes
 			}
 		}
-		st.Arena(w, level).AdoptBlocks(heap, seg.n, seg.free, seg.nFree, false)
+		st.AdoptBlocks(w, level, heap, seg.n, seg.free, seg.nFree, false)
 	}
 
 	if rec.mapping != nil {

@@ -122,11 +122,9 @@ type Memory struct {
 	Parts
 	// PeakBytes is the largest total sampled; AtPeak is the sample that
 	// set it, so the peak can be split by component.
-	PeakBytes   uint64
-	AtPeak      Parts
-	GCCount     uint64
-	GCPauseNs   int64
-	LastLiveNds uint64
+	PeakBytes uint64
+	AtPeak    Parts
+	GCCount   uint64
 }
 
 // Sample records the current component sizes and updates the peak.

@@ -166,9 +166,7 @@ func (t *Table) FindOrAdd(st *node.Store, w, level int, low, high node.Ref) node
 			panic(err)
 		}
 	}
-	idx := st.Arena(w, level).Alloc(low, high)
-	st.NoteAlloc(w)
-	r := node.MakeRef(level, w, idx)
+	r := st.NewNode(w, level, low, high)
 	t.slots[i] = fp | uint64(r)&refMask
 	t.added(st)
 	return r

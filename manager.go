@@ -52,7 +52,7 @@ func WithWorkers(n int) Option {
 }
 
 // WithEvalThreshold sets the partial breadth-first evaluation threshold:
-// the number of Shannon expansions per evaluation context.
+// Shannon expansions per evaluation context. EngineBF has no threshold.
 func WithEvalThreshold(n int) Option {
 	return func(o *core.Options) { o.EvalThreshold = n }
 }
@@ -100,9 +100,10 @@ func WithMaxNodes(n uint64) Option {
 	return func(o *core.Options) { o.MaxNodes = n }
 }
 
-// WithMaxBytes bounds the manager's approximate total memory footprint
-// (nodes + operator arenas + caches + unique-table slots) the same way
-// WithMaxNodes bounds the node count.
+// WithMaxBytes bounds the manager's memory footprint, Stats.MemBytes
+// (node blocks + operator blocks + caches + unique-table slots), the same
+// way WithMaxNodes bounds the node count. A budget trips at the figure
+// Stats.PeakBytes samples.
 func WithMaxBytes(n uint64) Option {
 	return func(o *core.Options) { o.MaxBytes = n }
 }
@@ -481,12 +482,14 @@ type Stats struct {
 	PeakBytes uint64
 	// NumNodes is the current live node count.
 	NumNodes uint64
-	// MemBytes is the current approximate memory footprint (the figure
-	// budget enforcement compares against WithMaxBytes).
+	// MemBytes is the current memory footprint as the allocators count
+	// it: heap-resident node blocks, operator blocks, compute caches and
+	// unique-table slots. PeakBytes is its high-water mark at operation
+	// boundaries, and WithMaxBytes bounds it.
 	MemBytes uint64
 	// EffEvalThreshold is the evaluation threshold currently in effect;
 	// lower than the configured value while degraded under memory
-	// pressure.
+	// pressure, and 0 while unbounded (EngineBF, not degraded).
 	EffEvalThreshold int
 	// Budget degradation counters: forced early collections, evaluation
 	// threshold drops, compute-cache shrinks, coldest-level spills, and
@@ -496,9 +499,9 @@ type Stats struct {
 	BudgetCacheShrinks   uint64
 	BudgetSpills         uint64
 	BudgetAborts         uint64
-	// Memory-tiering counters (zero without WithSpillDir). MemBytes above
-	// is the resident footprint: SpilledBytes live in spill files and the
-	// OS page cache, not on the heap.
+	// Memory-tiering counters, zero without WithSpillDir except
+	// ResidentBytes, MemBytes' node-block part. SpilledBytes live in
+	// spill files and the OS page cache, not on the heap.
 	ResidentBytes     uint64
 	SpilledBytes      uint64
 	SpilledLevels     int
