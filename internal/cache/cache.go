@@ -18,11 +18,12 @@
 //
 // Each segment starts at 2^8 entries and doubles, up to the cache's max
 // bits, once its live conflicts outnumber its slots. A live conflict is an
-// insert that evicts a live entry holding a different key. Filling an
-// empty or stale slot, or rewriting the same key, is not one: otherwise a
-// long build or session, whose op-handle entries all go stale at every
-// top-level boundary, would grow its segments to the cap with the number
-// of inserts it ever made rather than with its working set.
+// insert that evicts an entry written in the current top-level operation
+// and holding a different key. Filling an empty slot, evicting an entry
+// of an earlier operation, or rewriting the same key, is not one:
+// otherwise a long build or session would grow its segments to the cap
+// with the number of inserts it ever made rather than with one
+// operation's working set.
 package cache
 
 import (
@@ -188,7 +189,7 @@ func (c *Cache) Insert(level int, op uint8, f, g node.Ref, val Tagged) {
 	}
 	c.inserts++
 	e := &s.entries[hash3(op, f, g)&s.mask]
-	if c.live(e) && (e.op != op || e.f != f || e.g != g) {
+	if e.f != emptyF && e.gen == c.opGen && (e.op != op || e.f != f || e.g != g) {
 		s.pressure++
 	}
 	e.op, e.f, e.g, e.val, e.gen = op, f, g, val, c.opGen

@@ -309,7 +309,8 @@ func TestWorkingSetLargerThanSegmentGrows(t *testing.T) {
 }
 
 // TestStaleAndEmptyEvictionsAddNoPressure pins the growth rule: only an
-// insert that evicts a live entry with a different key counts as pressure.
+// insert that evicts an entry of the current top-level operation with a
+// different key counts as pressure.
 func TestStaleAndEmptyEvictionsAddNoPressure(t *testing.T) {
 	c := New(1, 16)
 	s := &c.segs[0]
@@ -353,6 +354,9 @@ func TestStaleAndEmptyEvictionsAddNoPressure(t *testing.T) {
 	check("inserts after a rebuild", 0)
 	fill(b, false)
 	check("evictions of live entries", uint64(len(a)))
+	c.InvalidateOps()
+	fill(a, true)
+	check("evictions of an earlier operation's refs", uint64(len(a)))
 	if got, want := c.Bytes(), uint64(1<<initialBits)*entryBytes; got != want {
 		t.Fatalf("segment is %d bytes, want %d", got, want)
 	}

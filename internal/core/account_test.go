@@ -15,8 +15,8 @@ import (
 
 // walkedAccount sums what the memory account counts by walking every
 // structure it covers: each (worker, level) node arena not mapped to a
-// spill file, each operator arena, each compute-cache segment and each
-// unique table. The cache keeps its segments unexported, so the walk
+// spill file, each operator arena and block pool, each compute-cache
+// segment and each unique table. The cache keeps its segments unexported, so the walk
 // reads their lengths through reflection.
 func walkedAccount(k *Kernel) stats.Parts {
 	var a stats.Parts
@@ -32,6 +32,7 @@ func walkedAccount(k *Kernel) stats.Parts {
 		for i := range w.ops {
 			a.OpBytes += w.ops[i].bytes()
 		}
+		a.OpBytes += uint64(len(w.pool)) * opBlockBytes
 		segs := reflect.ValueOf(w.cache).Elem().FieldByName("segs")
 		for i := 0; i < segs.Len(); i++ {
 			entries := segs.Index(i).FieldByName("entries")
@@ -43,6 +44,8 @@ func walkedAccount(k *Kernel) stats.Parts {
 	}
 	return a
 }
+
+func (a *opArena) bytes() uint64 { return uint64(a.numBlocks()) * opBlockBytes }
 
 // TestMemAccountMatchesWalk checks the running memory account and live
 // count against walked sums after every kind of event that allocates or

@@ -321,7 +321,7 @@ func (k *Kernel) budgetGate() {
 	var freed uint64
 	for _, w := range k.workers {
 		freed += w.cache.Shrink()
-		w.resetOps(0) // kept operator blocks: no collection frees them
+		w.trimPool(0) // pooled operator blocks: no collection frees them
 	}
 	if freed > 0 {
 		b.cacheShrinks.Add(1)

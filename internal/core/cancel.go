@@ -137,6 +137,12 @@ func (k *Kernel) abortTopLevel() {
 		w.ctxMu.Unlock()
 		w.nOps = 0
 		w.cancelCounter = 0
+		// Unwound scopes were not closed, and thieves unwound without
+		// giving their stolen groups back.
+		w.depth = 0
+		for i := range w.stolen {
+			w.stolen[i].Store(0)
+		}
 	}
 	k.endTopLevel()
 }

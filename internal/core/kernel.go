@@ -232,12 +232,9 @@ type Kernel struct {
 	spillMu sync.Mutex
 
 	mem stats.Memory
-	// opHeld is the largest operator-arena footprint a top-level
-	// operation, finished or aborted, ended with since the last
-	// sampleMemory. Each operation's end gives blocks back, but a
-	// sequential batch samples once, after its last operation, and an
-	// abort samples not at all, so sampleMemory folds this in.
-	opHeld uint64
+	// verifyScopes makes released scopes check and quarantine the
+	// operator nodes they give back (see worker.quarantine); tests only.
+	verifyScopes bool
 }
 
 // NewKernel creates a kernel with the given options.
@@ -380,8 +377,9 @@ func (k *Kernel) Close() {
 	k.pins = make(map[*Pin]struct{})
 	k.pinsMu.Unlock()
 	for _, w := range k.workers {
-		w.resetOps(0)
+		w.trimPool(0)
 		w.ops = nil
+		w.opLogged = nil
 		w.cache = nil
 		w.pending = nil
 		w.curReduce = nil
@@ -475,11 +473,18 @@ func (k *Kernel) account() stats.Parts {
 	return a
 }
 
-// sampleMemory records the account and raises the peak.
+// sampleMemory records the account and raises the peak. Its operator
+// component is the workers' high-water since the last sample: a
+// sequential batch samples once, after its last operation has given
+// blocks back, and an aborted build samples not at all.
 func (k *Kernel) sampleMemory() {
 	a := k.account()
-	k.mem.Sample(a.NodeBytes, max(a.OpBytes, k.opHeld), a.CacheBytes, a.TableBytes)
-	k.opHeld = 0
+	var op uint64
+	for _, w := range k.workers {
+		op += w.opPeak
+		w.opPeak = w.opBytes.Load()
+	}
+	k.mem.Sample(a.NodeBytes, op, a.CacheBytes, a.TableBytes)
 	// sampleMemory runs only at quiescent boundaries, which is exactly
 	// when mappings retired by mid-build unspills become unreferenced.
 	if t := k.tier.Load(); t != nil {
@@ -523,16 +528,14 @@ func (k *Kernel) Apply(op Op, f, g node.Ref) node.Ref {
 // by the terminal rules).
 func (k *Kernel) Not(f node.Ref) node.Ref { return k.Apply(OpXnor, f, node.Zero) }
 
-// endTopLevel recycles operator arenas, recording what they held for the
-// next sampleMemory, and invalidates the uncomputed entries of every
-// compute cache; called when a top-level operation's result has been
-// produced, and by abortTopLevel when it has been abandoned.
+// endTopLevel empties the operator arenas and invalidates the
+// uncomputed entries of every compute cache; called when a top-level
+// operation's result has been produced, and by abortTopLevel when it
+// has been abandoned.
 func (k *Kernel) endTopLevel() {
-	var held uint64
 	for _, w := range k.workers {
 		w.checkQuiescent()
-		held += w.resetOps(1)
+		w.endOps()
 		w.cache.InvalidateOps()
 	}
-	k.opHeld = max(k.opHeld, held)
 }

@@ -72,17 +72,16 @@ func TestForceResolveDirect(t *testing.T) {
 
 	// Fabricate a parent whose branch is a claimed-but-never-finished op
 	// belonging to worker 1.
-	childIdx, _ := w1.ops[0].alloc(OpAnd, x0, x1)
-	childHandle := makeOpRef(1, 0, childIdx)
-	parentIdx, _ := w0.ops[0].alloc(OpOr, x0, x1)
-	parent := w0.ops[0].at(parentIdx)
+	childHandle := w1.allocOp(0, OpAnd, x0, x1)
+	parentHandle := w0.allocOp(0, OpOr, x0, x1)
+	parent := w0.opAt(parentHandle)
 	parent.b0 = childHandle.tagged()
 	parent.b1 = cache.FromRef(x0)
 
 	if _, ok := w0.resolve(parent.b0); ok {
 		t.Fatal("unclaimed child should not resolve")
 	}
-	w0.forceResolve([]opRef{makeOpRef(0, 0, parentIdx)})
+	w0.forceResolve([]opRef{parentHandle})
 	r0, ok := w0.resolve(parent.b0)
 	if !ok {
 		t.Fatal("forceResolve did not publish the child result")
@@ -95,7 +94,7 @@ func TestForceResolveDirect(t *testing.T) {
 		t.Fatalf("ForcedOps = %d", w0.st.ForcedOps)
 	}
 	// Idempotent: a second call must not recompute.
-	w0.forceResolve([]opRef{makeOpRef(0, 0, parentIdx)})
+	w0.forceResolve([]opRef{parentHandle})
 	if w0.st.ForcedOps != 1 {
 		t.Fatalf("forceResolve recomputed a done op: %d", w0.st.ForcedOps)
 	}

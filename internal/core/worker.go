@@ -25,6 +25,7 @@ import (
 // through a compute-cache hit.
 type evalContext struct {
 	groups [][]opRef
+	depth  int // the pushing worker's scope depth
 }
 
 // ownerCtx pairs a pushed evalContext with the reduce queues that were
@@ -46,6 +47,22 @@ type worker struct {
 	cache *cache.Cache
 	ops   []opArena // per level
 
+	// Operator-node memory (see opnode.go). pool holds the blocks
+	// released scopes gave back, for any level's arena. opLog is the
+	// undo log of the open scopes; opLogged[level] is the scope that
+	// last logged the level, scope the innermost open one, and scopes
+	// the last id issued. depth is the nesting of open scopes, and
+	// stolen[d] counts groups thieves hold of this worker's contexts
+	// pushed at depth d.
+	pool     []*opBlock
+	released []*opBlock // blocks quarantine set aside
+	opLog    []opMark
+	opLogged []uint64
+	scope    uint64
+	scopes   uint64
+	depth    int
+	stolen   [maxScopeDepth]atomic.Int32
+
 	pending      [][]opRef // per level: claimed ops awaiting expansion
 	pendingTotal int
 	curReduce    [][]opRef // per level: expanded ops awaiting reduction
@@ -57,9 +74,11 @@ type worker struct {
 	ctxMu sync.Mutex
 	ctxs  []*evalContext // registered stealable contexts, oldest first
 
-	// opBytes counts the operator arenas' blocks as they grow and as
-	// resetOps gives them back; atomic because checkBudget reads it.
+	// opBytes counts the blocks the operator arenas and the pool hold;
+	// atomic because checkBudget reads it. opPeak is its high-water
+	// since the last sampleMemory.
 	opBytes atomic.Uint64
+	opPeak  uint64
 
 	st  stats.Worker
 	rng uint64
@@ -72,23 +91,14 @@ func newWorker(k *Kernel, id int) *worker {
 		k:         k,
 		cache:     cache.New(L, k.opts.CacheBits),
 		ops:       make([]opArena, L),
+		opLogged:  make([]uint64, L),
+		scope:     1,
+		scopes:    1,
 		pending:   make([][]opRef, L),
 		curReduce: make([][]opRef, L),
 		rng:       uint64(id)*0x9E3779B97F4A7C15 + 0x853C49E6748FEA9B,
 	}
 	return w
-}
-
-// resetOps recycles the operator arenas, keeping at most keep blocks in
-// each, and returns the bytes they held.
-func (w *worker) resetOps(keep int) (held uint64) {
-	var kept uint64
-	for i := range w.ops {
-		held += w.ops[i].reset(keep)
-		kept += w.ops[i].bytes()
-	}
-	w.opBytes.Store(kept)
-	return held
 }
 
 // opAt resolves an operator-node handle, which may belong to any worker.
@@ -117,27 +127,30 @@ func (w *worker) preprocess(op Op, f, g node.Ref) cache.Tagged {
 	}
 	lvl := node.TopLevel(f, g)
 	if v, ok := w.cache.Lookup(lvl, uint8(op), f, g); ok {
-		w.st.CacheHits++
 		if !v.IsOpHandle() {
+			w.st.CacheHits++
 			return v
 		}
 		h := opRef(v)
-		o := w.opAt(h)
-		switch o.state.Load() {
-		case opDone:
-			res := o.resultRef()
-			w.cache.Update(lvl, uint8(op), f, g, cache.FromRef(res))
-			return cache.FromRef(res)
-		case opQueued:
-			// The operator node was released into a context group; claim
-			// it into our own pending queue so the current context can
-			// not deadlock waiting on an outer context's group.
-			if o.state.CompareAndSwap(opQueued, opClaimed) {
-				w.enqueue(lvl, h)
+		if o := w.cachedOp(h, op, f, g); o != nil {
+			w.st.CacheHits++
+			switch o.state.Load() {
+			case opDone:
+				res := o.resultRef()
+				w.cache.Update(lvl, uint8(op), f, g, cache.FromRef(res))
+				return cache.FromRef(res)
+			case opQueued:
+				// The operator node was released into a context group;
+				// claim it into our own pending queue so the current
+				// context can not deadlock waiting on an outer context's
+				// group.
+				if o.state.CompareAndSwap(opQueued, opClaimed) {
+					w.enqueue(lvl, h)
+				}
+				return v
+			default: // opClaimed: someone (possibly a thief) will produce it
+				return v
 			}
-			return v
-		default: // opClaimed: someone (possibly a thief) will produce it
-			return v
 		}
 	}
 	if faultinject.Enabled {
@@ -145,11 +158,7 @@ func (w *worker) preprocess(op Op, f, g node.Ref) cache.Tagged {
 			panic(err)
 		}
 	}
-	idx, grew := w.ops[lvl].alloc(op, f, g)
-	if grew {
-		w.opBytes.Add(opBlockBytes)
-	}
-	h := makeOpRef(w.id, lvl, idx)
+	h := w.allocOp(lvl, op, f, g)
 	w.enqueue(lvl, h)
 	w.cache.Insert(lvl, uint8(op), f, g, h.tagged())
 	return h.tagged()
@@ -233,36 +242,45 @@ func (w *worker) expand(allowPush bool) (pushed *ownerCtx, overflow bool) {
 // precedence) are released (opClaimed → opQueued), partitioned into small
 // groups, and published as a stealable context. The reduce queues built so
 // far move into the context, to be reduced when it is popped.
+//
+// Only the worker's own operator nodes are released. Another worker's
+// nodes, from a group this one stole, stay in the pending queues for the
+// drain loop: the victim keeps them only while this worker's
+// runIsolated holds the group, so they must not pass on to a third
+// worker that could still hold them after it returns.
 func (w *worker) pushContext(lvl int, tail []opRef) *ownerCtx {
 	k := w.k
 	groupSize := k.opts.GroupSize
 	var groups [][]opRef
 	cur := make([]opRef, 0, groupSize)
-	release := func(h opRef) {
-		o := w.opAt(h)
-		o.state.Store(opQueued)
-		cur = append(cur, h)
-		if len(cur) == groupSize {
-			groups = append(groups, cur)
-			cur = make([]opRef, 0, groupSize)
+	kept := 0
+	release := func(l int, q []opRef) {
+		foreign := w.pending[l][:0] // q is a suffix of pending[l]
+		for _, h := range q {
+			if h.worker() != w.id {
+				foreign = append(foreign, h)
+				continue
+			}
+			w.opAt(h).state.Store(opQueued)
+			cur = append(cur, h)
+			if len(cur) == groupSize {
+				groups = append(groups, cur)
+				cur = make([]opRef, 0, groupSize)
+			}
 		}
+		w.pending[l] = foreign
+		kept += len(foreign)
 	}
-	for _, h := range tail {
-		release(h)
-	}
-	w.pending[lvl] = w.pending[lvl][:0]
+	release(lvl, tail)
 	for l := lvl + 1; l < k.opts.Levels; l++ {
-		for _, h := range w.pending[l] {
-			release(h)
-		}
-		w.pending[l] = w.pending[l][:0]
+		release(l, w.pending[l])
 	}
 	if len(cur) > 0 {
 		groups = append(groups, cur)
 	}
-	w.pendingTotal = 0
+	w.pendingTotal = kept
 
-	ec := &evalContext{groups: groups}
+	ec := &evalContext{groups: groups, depth: w.depth}
 	oc := &ownerCtx{ec: ec, reduce: w.curReduce}
 	w.curReduce = make([][]opRef, k.opts.Levels)
 	w.registerCtx(ec)
@@ -301,24 +319,30 @@ func (w *worker) takeOwnGroup(ec *evalContext) []opRef {
 }
 
 // stealFrom removes the oldest group of any of victim's registered
-// contexts, or nil.
-func (w *worker) stealFrom(victim *worker) []opRef {
+// contexts, or nil. Taking another worker's group counts it as held in
+// victim.stolen until the returned counter is decremented.
+func (w *worker) stealFrom(victim *worker) ([]opRef, *atomic.Int32) {
 	victim.ctxMu.Lock()
 	defer victim.ctxMu.Unlock()
 	for _, ec := range victim.ctxs {
 		if len(ec.groups) > 0 {
 			g := ec.groups[0]
 			ec.groups = ec.groups[1:]
-			return g
+			if victim == w {
+				return g, nil
+			}
+			held := &victim.stolen[min(ec.depth, maxScopeDepth-1)]
+			held.Add(1)
+			return g, held
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 // stealAny scans all workers (victim order randomized, self last) for a
 // stealable group. With stealing disabled (ablation) only self-stealing
 // remains: a worker may always drain its own contexts' groups.
-func (w *worker) stealAny() []opRef {
+func (w *worker) stealAny() ([]opRef, *atomic.Int32) {
 	if w.k.opts.Stealing {
 		ws := w.k.workers
 		n := len(ws)
@@ -329,17 +353,14 @@ func (w *worker) stealAny() []opRef {
 			if v == w {
 				continue
 			}
-			if g := w.stealFrom(v); g != nil {
-				return g
+			if g, held := w.stealFrom(v); g != nil {
+				return g, held
 			}
 		}
 	}
 	// Self-steal: processing our own outer contexts' groups is useful
 	// work while stalled.
-	if g := w.stealFrom(w); g != nil {
-		return g
-	}
-	return nil
+	return w.stealFrom(w)
 }
 
 // claimGroup claims each operator node of g into the pending queues.
@@ -366,13 +387,17 @@ func (w *worker) evalCycle() {
 		return
 	}
 	for {
-		g := w.takeOwnGroup(oc.ec)
-		if g == nil {
+		// The first drained group also takes the stolen nodes that
+		// pushContext kept back; with no group left they run alone.
+		if g := w.takeOwnGroup(oc.ec); g != nil {
+			w.claimGroup(g)
+		} else if w.pendingTotal == 0 {
 			break
 		}
-		w.claimGroup(g)
 		if w.pendingTotal > 0 {
+			s := w.enterScope()
 			w.evalCycle()
+			w.leaveScope(s)
 		}
 	}
 	w.unregisterCtx(oc.ec)
@@ -503,6 +528,14 @@ func (w *worker) reducePass(lvl int, q []opRef) (deferred []opRef) {
 			res = k.findOrAdd(t, w.id, lvl, r0, r1)
 		}
 		o.setResult(res)
+		if h.worker() == w.id && w.depth > 0 {
+			// A nested scope gives its nodes back before the operation
+			// ends, so the result must outlive the node in the cache. At
+			// the top level the handle serves until the operation ends,
+			// and a rewrite there, a random write per node, cost mult-10
+			// and mult-11 builds 7–18% at the default threshold.
+			w.cache.Update(lvl, uint8(o.op), o.f, o.g, cache.FromRef(res))
+		}
 		w.st.ReducedOps++
 	}
 	return deferred
@@ -531,9 +564,9 @@ const stallEscalateRounds = 64
 func (w *worker) stallHelp() bool {
 	t0 := time.Now()
 	found := false
-	if g := w.stealAny(); g != nil {
+	if g, held := w.stealAny(); g != nil {
 		w.st.Steals++
-		w.runIsolated(g)
+		w.runIsolated(g, held)
 		found = true
 	} else {
 		runtime.Gosched()
@@ -566,10 +599,12 @@ func (w *worker) forceResolve(deferred []opRef) {
 }
 
 // runIsolated processes a stolen group to completion in a fresh queue
-// environment, leaving the worker's in-progress state untouched. Stolen
-// operator nodes get their results written and published via their state
-// word, which is how they return to their owner (§3.3).
-func (w *worker) runIsolated(g []opRef) {
+// environment and scope, leaving the worker's in-progress state
+// untouched. Stolen operator nodes get their results written and
+// published via their state word, which is how they return to their
+// owner (§3.3); then held, the victim's count of the group (nil for a
+// group of the worker's own), is decremented.
+func (w *worker) runIsolated(g []opRef, held *atomic.Int32) {
 	savedPending, savedTotal := w.pending, w.pendingTotal
 	savedReduce, savedNOps := w.curReduce, w.nOps
 	L := w.k.opts.Levels
@@ -577,15 +612,19 @@ func (w *worker) runIsolated(g []opRef) {
 	w.curReduce = make([][]opRef, L)
 	w.pendingTotal, w.nOps = 0, 0
 
-	before := w.pendingTotal
 	w.claimGroup(g)
-	w.st.StolenOps += uint64(w.pendingTotal - before)
+	w.st.StolenOps += uint64(w.pendingTotal)
 	if w.pendingTotal > 0 {
+		s := w.enterScope()
 		w.evalCycle()
+		w.leaveScope(s)
 	}
 
 	w.pending, w.pendingTotal = savedPending, savedTotal
 	w.curReduce, w.nOps = savedReduce, savedNOps
+	if held != nil {
+		held.Add(-1)
+	}
 }
 
 // pbfApply runs one top-level operation with the (sequential) partial
@@ -616,14 +655,14 @@ func (w *worker) idleLoop() {
 	wanting := false
 	failures := 0
 	for !k.opDone.Load() && !k.aborted() {
-		if g := w.stealAny(); g != nil {
+		if g, held := w.stealAny(); g != nil {
 			if wanting {
 				k.stealWanted.Add(-1)
 				wanting = false
 			}
 			failures = 0
 			w.st.Steals++
-			w.runIsolated(g)
+			w.runIsolated(g, held)
 			continue
 		}
 		w.st.StealFailures++
@@ -661,18 +700,20 @@ func (w *worker) dfApply(op Op, f, g node.Ref) node.Ref {
 	}
 	lvl := node.TopLevel(f, g)
 	if v, ok := w.cache.Lookup(lvl, uint8(op), f, g); ok {
-		w.st.CacheHits++
 		if !v.IsOpHandle() {
+			w.st.CacheHits++
 			return v.Ref()
 		}
-		o := w.opAt(opRef(v))
-		if o.state.Load() == opDone {
-			return o.resultRef()
+		if o := w.cachedOp(opRef(v), op, f, g); o != nil {
+			w.st.CacheHits++
+			if o.state.Load() == opDone {
+				return o.resultRef()
+			}
+			res := w.dfExpandOnce(op, f, g, lvl)
+			o.setResult(res)
+			w.cache.Update(lvl, uint8(op), f, g, cache.FromRef(res))
+			return res
 		}
-		res := w.dfExpandOnce(op, f, g, lvl)
-		o.setResult(res)
-		w.cache.Update(lvl, uint8(op), f, g, cache.FromRef(res))
-		return res
 	}
 	res := w.dfExpandOnce(op, f, g, lvl)
 	w.cache.Insert(lvl, uint8(op), f, g, cache.FromRef(res))

@@ -229,3 +229,23 @@ func TestModelRowsAtCutoff(t *testing.T) {
 		})
 	}
 }
+
+// TestRunManyWorkersAgree builds c3540-8 on 8 workers, where a thief can
+// steal a group holding nodes that its victim itself stole from a third
+// worker: a scope must not give back operator nodes that such a chain
+// still holds. Each build must produce Seq's outputs.
+func TestRunManyWorkersAgree(t *testing.T) {
+	seq, err := Run(Config{Circuit: "c3540-8"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		par, err := Run(Config{Circuit: "c3540-8", Workers: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par.OutputNodes != seq.OutputNodes {
+			t.Fatalf("build %d: %d output nodes, Seq %d", i, par.OutputNodes, seq.OutputNodes)
+		}
+	}
+}

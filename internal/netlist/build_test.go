@@ -354,10 +354,10 @@ func TestBuildOneWorkerReplaysGateOrder(t *testing.T) {
 		steps, hits, terminals uint64
 		peakBytes, collections uint64
 	}{
-		{Multiplier(8), core.EnginePBF, 134937, 108384, 26932, 2673664, 14},
-		{Multiplier(8), core.EnginePar, 134937, 108384, 26932, 2673664, 14},
-		{C2670LikeScaled(4), core.EnginePBF, 985122, 855379, 130603, 15663616, 18},
-		{C2670LikeScaled(4), core.EnginePar, 985122, 855379, 130603, 15663616, 18},
+		{Multiplier(8), core.EnginePBF, 134937, 108384, 26932, 2624512, 14},
+		{Multiplier(8), core.EnginePar, 134937, 108384, 26932, 2624512, 14},
+		{C2670LikeScaled(4), core.EnginePBF, 993104, 863262, 130702, 13517312, 18},
+		{C2670LikeScaled(4), core.EnginePar, 993104, 863262, 130702, 13517312, 18},
 	}
 	for _, tc := range cases {
 		k := core.NewKernel(core.Options{

@@ -16,21 +16,55 @@ const (
 // a memoized result) here rather than in a map keyed by Ref: a slot is
 // addressed exactly like its node, by (level, worker, index), through
 // pages that follow each arena's index space. A page is allocated, zeroed,
-// the first time a walk touches it, so a walk costs time and memory in
-// proportion to the pages it touches, not to the arenas. The zero T means
-// "no entry".
+// the first time a walk touches it, and the table keeps page lists only
+// for the range of arenas its walk has touched, so a walk costs time and
+// memory in proportion to the pages and levels it touches, not to the
+// store's levels. The zero T means "no entry".
 //
 // A Table belongs to one walk. It is not safe for concurrent use, and
 // like the walks that use it, it assumes the refs it is given are valid
 // non-terminal refs of its store.
 type Table[T comparable] struct {
-	st    *Store
-	pages [][]*[pageSize]T // [level*workers+worker][page]
+	st *Store
+	// pages[a-lo] is the page list of arena a (level*workers+worker),
+	// for the arenas from lo on that the walk has reached.
+	pages [][]*[pageSize]T
+	lo    int
 }
 
 // NewTable returns an empty side table over st's arenas.
 func NewTable[T comparable](st *Store) *Table[T] {
-	return &Table[T]{st: st, pages: make([][]*[pageSize]T, st.levels*st.workers)}
+	return &Table[T]{st: st}
+}
+
+// list returns the page list of arena a, or nil if a is outside the
+// range the table covers.
+func (t *Table[T]) list(a int) []*[pageSize]T {
+	if i := a - t.lo; i >= 0 && i < len(t.pages) {
+		return t.pages[i]
+	}
+	return nil
+}
+
+// cover extends the covered range to arena a, at least doubling it so
+// that a walk reaching new arenas one by one copies the lists a
+// logarithmic number of times.
+func (t *Table[T]) cover(a int) {
+	if i := a - t.lo; i >= 0 && i < len(t.pages) {
+		return
+	}
+	lo, hi := a, a+1
+	if n := len(t.pages); n > 0 {
+		lo, hi = min(lo, t.lo), max(hi, t.lo+n)
+		if span := max(hi-lo, 2*n); a < t.lo {
+			lo = max(hi-span, 0)
+		} else {
+			hi = min(lo+span, t.st.levels*t.st.workers)
+		}
+	}
+	pages := make([][]*[pageSize]T, hi-lo)
+	copy(pages[max(t.lo-lo, 0):], t.pages)
+	t.pages, t.lo = pages, lo
 }
 
 // At returns r's slot, allocating its page on first touch.
@@ -39,7 +73,7 @@ func (t *Table[T]) At(r Ref) *T {
 	if w >= t.st.workers {
 		panic(fmt.Sprintf("node: side table lookup of %v in a %d-worker store", r, t.st.workers))
 	}
-	ps := t.pages[r.Level()*t.st.workers+w]
+	ps := t.list(r.Level()*t.st.workers + w)
 	if p := i >> pageShift; p < uint64(len(ps)) && ps[p] != nil {
 		return &ps[p][i&pageMask]
 	}
@@ -51,13 +85,14 @@ func (t *Table[T]) At(r Ref) *T {
 func (t *Table[T]) grow(r Ref) *T {
 	a := r.Level()*t.st.workers + r.Worker()
 	i := r.Index()
-	ps := t.pages[a]
+	t.cover(a)
+	ps := t.pages[a-t.lo]
 	if need := i>>pageShift + 1; need > uint64(len(ps)) {
 		n := (t.st.arenas[r.Worker()][r.Level()].Len() + pageMask) >> pageShift
 		nps := make([]*[pageSize]T, max(n, need))
 		copy(nps, ps)
 		ps = nps
-		t.pages[a] = ps
+		t.pages[a-t.lo] = ps
 	}
 	p := new([pageSize]T)
 	ps[i>>pageShift] = p
@@ -69,7 +104,7 @@ func (t *Table[T]) grow(r Ref) *T {
 func (t *Table[T]) Get(r Ref) T {
 	w, i := r.Worker(), r.Index()
 	if w < t.st.workers {
-		ps := t.pages[r.Level()*t.st.workers+w]
+		ps := t.list(r.Level()*t.st.workers + w)
 		if p := i >> pageShift; p < uint64(len(ps)) && ps[p] != nil {
 			return ps[p][i&pageMask]
 		}
@@ -85,7 +120,7 @@ func (t *Table[T]) Get(r Ref) T {
 func (t *Table[T]) Sweep(level int, fn func(r Ref, v *T)) {
 	var zero T
 	for w := 0; w < t.st.workers; w++ {
-		for pi, p := range t.pages[level*t.st.workers+w] {
+		for pi, p := range t.list(level*t.st.workers + w) {
 			if p == nil {
 				continue
 			}
@@ -100,11 +135,13 @@ func (t *Table[T]) Sweep(level int, fn func(r Ref, v *T)) {
 }
 
 // Reach sets the slot of every non-terminal node reachable from roots to
-// mark, which must not be the zero T, and calls visit once per node, level by level from the top. It marks the way the collector
-// does (§3.4): set the roots, then sweep the levels top-down, each marked
-// node setting its children. Children always sit at strictly deeper
-// levels than their parent, so one sweep per level reaches every node
-// without a stack; a child that does not is an error.
+// mark, which must not be the zero T, and calls visit once per node,
+// level by level from the top. It marks the way the collector does
+// (§3.4): set the roots, then sweep the levels top-down, each marked
+// node setting its children, down to the deepest level reached.
+// Children always sit at strictly deeper levels than their parent, so
+// one sweep per level reaches every node without a stack; a child that
+// does not is an error.
 func (t *Table[T]) Reach(roots []Ref, mark T, visit func(Ref)) error {
 	top := t.st.levels
 	for _, r := range roots {
@@ -114,7 +151,7 @@ func (t *Table[T]) Reach(roots []Ref, mark T, visit func(Ref)) error {
 		}
 	}
 	var bad error
-	for lvl := top; lvl < t.st.levels && bad == nil; lvl++ {
+	for lvl := top; lvl*t.st.workers < t.lo+len(t.pages) && bad == nil; lvl++ {
 		t.Sweep(lvl, func(r Ref, _ *T) {
 			visit(r)
 			nd := t.st.Node(r)

@@ -15,14 +15,17 @@ func TestTableSlotsAndPages(t *testing.T) {
 	if got := tb.Get(refs[0]); got != 0 {
 		t.Fatalf("Get on an empty table = %d", got)
 	}
-	if n := len(tb.pages[1*2+0]); n != 0 {
-		t.Fatalf("Get allocated %d page slots", n)
+	if len(tb.pages) != 0 {
+		t.Fatalf("Get added %d page lists", len(tb.pages))
 	}
 	// Touch the last node of worker 1 only: one page, in a list that
 	// covers the whole arena.
 	last := refs[len(refs)-1]
 	*tb.At(last) = 7
-	ps := tb.pages[1*2+1]
+	if len(tb.pages) != 1 {
+		t.Fatalf("touching one arena added %d page lists", len(tb.pages))
+	}
+	ps := tb.list(1*2 + 1)
 	if len(ps) != 2 {
 		t.Fatalf("worker 1 page list has %d entries, want 2", len(ps))
 	}
@@ -92,5 +95,38 @@ func TestTableReachRejectsNonDescendingChild(t *testing.T) {
 	}
 	if visited != 2 {
 		t.Fatalf("visited %d nodes before the error, want 2", visited)
+	}
+}
+
+// TestTableReachManyArenas reaches a chain through 300 levels whose
+// nodes alternate between two workers' arenas, so the range of page
+// lists grows several times while Reach sweeps it.
+func TestTableReachManyArenas(t *testing.T) {
+	const levels = 300
+	st := NewStore(2, levels)
+	root := One
+	var chain []Ref
+	for l := levels - 1; l >= 0; l-- {
+		root = st.NewNode(l%2, l, Zero, root)
+		chain = append(chain, root)
+	}
+	tb := NewTable[bool](st)
+	var got []Ref
+	if err := tb.Reach([]Ref{root}, true, func(r Ref) { got = append(got, r) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != levels {
+		t.Fatalf("Reach visited %d nodes, want %d", len(got), levels)
+	}
+	for i, r := range got {
+		if want := chain[levels-1-i]; r != want {
+			t.Fatalf("visit %d: %v, want %v", i, r, want)
+		}
+		if !tb.Get(r) {
+			t.Fatalf("%v not marked", r)
+		}
+	}
+	if len(tb.pages) > 2*levels {
+		t.Fatalf("%d page lists for a store of %d arenas", len(tb.pages), 2*levels)
 	}
 }

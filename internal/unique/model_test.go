@@ -111,8 +111,8 @@ func (m *model) check() {
 	if m.tab.Count() != uint64(len(m.want)) {
 		m.tb.Fatalf("Count = %d, model holds %d", m.tab.Count(), len(m.want))
 	}
-	if n := uint64(len(m.tab.slots)); m.tab.Count()*4 > n*3 || m.tab.Bytes() != n*8 {
-		m.tb.Fatalf("%d entries in %d slots (Bytes %d): over 3/4 load", m.tab.Count(), n, m.tab.Bytes())
+	if n := uint64(len(m.tab.slots)); overLoad(m.tab.Count(), n) || m.tab.Bytes() != n*8 {
+		m.tb.Fatalf("%d entries in %d slots (Bytes %d): over %d/8 load", m.tab.Count(), n, m.tab.Bytes(), loadEighths)
 	}
 	var occupied uint64
 	for _, s := range m.tab.slots {
@@ -139,7 +139,7 @@ func (m *model) fingerprintCollisions() int {
 			continue
 		}
 		nd := m.st.Node(m.tab.level | node.Ref(s&refMask))
-		for i := hashRef(nd.Low, nd.High) & mask; i != uint64(p); i = (i + 1) & mask {
+		for i := m.tab.home(hashRef(nd.Low, nd.High)); i != uint64(p); i = (i + 1) & mask {
 			if m.tab.slots[i]&^refMask == s&^refMask {
 				n++
 			}

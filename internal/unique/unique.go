@@ -37,7 +37,15 @@ const (
 	refMask = 1<<fpShift - 1
 
 	minSlots = 64
+
+	// loadEighths is the load limit, in eighths of the slots: a table
+	// grows past it, doubling, and a collection sizes one to stay within
+	// it.
+	loadEighths = 7
 )
+
+// overLoad reports whether n entries in slots slots exceed the load limit.
+func overLoad(n, slots uint64) bool { return n*8 > slots*loadEighths }
 
 // fingerprint returns h's top 16 bits in slot position, mapping 0 to 1 so
 // that no occupied slot is zero.
@@ -50,7 +58,7 @@ func fingerprint(h uint64) uint64 {
 }
 
 // Table is the unique table for one variable level: an open-addressed
-// array of slots with linear probing, kept at most 3/4 full. A probe
+// array of slots with linear probing, kept at most 7/8 full. A probe
 // reads a node from the arena only when the slot's fingerprint matches
 // the key's, so a miss costs a cache line or two of slots rather than one
 // arena read per entry. Entries may live in the arenas of several
@@ -149,7 +157,7 @@ func (t *Table) FindOrAdd(st *node.Store, w, level int, low, high node.Ref) node
 	h := hashRef(low, high)
 	fp := fingerprint(h)
 	mask := uint64(len(t.slots) - 1)
-	i := h & mask
+	i := t.home(h)
 	for s := t.slots[i]; s != 0; s = t.slots[i] {
 		if s&^refMask == fp {
 			r := t.level | node.Ref(s&refMask)
@@ -172,13 +180,17 @@ func (t *Table) FindOrAdd(st *node.Store, w, level int, low, high node.Ref) node
 	return r
 }
 
-// added counts one new entry and grows the slot array past 3/4 load.
+// home is the first slot a probe for a key with hash h reads.
+func (t *Table) home(h uint64) uint64 { return h & uint64(len(t.slots)-1) }
+
+// added counts one new entry and grows the slot array past the load
+// limit.
 func (t *Table) added(st *node.Store) {
 	t.count++
 	if t.count > t.maxCount {
 		t.maxCount = t.count
 	}
-	if t.count*4 > uint64(len(t.slots))*3 {
+	if overLoad(t.count, uint64(len(t.slots))) {
 		old := t.slots
 		t.slots = make([]uint64, len(old)*2)
 		for _, s := range old {
@@ -196,25 +208,25 @@ func (t *Table) place(st *node.Store, ref uint64) {
 	nd := st.Node(t.level | node.Ref(ref))
 	h := hashRef(nd.Low, nd.High)
 	mask := uint64(len(t.slots) - 1)
-	i := h & mask
+	i := t.home(h)
 	for t.slots[i] != 0 {
 		i = (i + 1) & mask
 	}
 	t.slots[i] = fingerprint(h) | ref
 }
 
-// slotsFor is the slot count that holds n entries within 3/4 load.
+// slotsFor is the slot count that holds n entries within the load limit.
 func slotsFor(n uint64) uint64 {
 	s := uint64(minSlots)
-	for s*3 < n*4 {
+	for overLoad(n, s) {
 		s *= 2
 	}
 	return s
 }
 
 // ResetBuckets empties the table in preparation for the rehash phase of a
-// compacting collection, sized so that sizeHint entries stay within 3/4
-// load. Exclusivity is guaranteed by the GC barrier, not the lock.
+// compacting collection, sized so that sizeHint entries stay within the
+// load limit. Exclusivity is guaranteed by the GC barrier, not the lock.
 func (t *Table) ResetBuckets(sizeHint uint64) {
 	if n := slotsFor(sizeHint); uint64(len(t.slots)) != n {
 		t.slots = make([]uint64, n)

@@ -3,6 +3,7 @@ package bfbdd_test
 import (
 	"math/big"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -275,5 +276,36 @@ func TestEnginesAgreePublic(t *testing.T) {
 		if f.Size() != ref.Size() {
 			t.Fatalf("engine %s: size %d != df size %d (canonicity)", name, f.Size(), ref.Size())
 		}
+	}
+}
+
+// TestSizeCostIndependentOfVars: Size walks only the arenas the BDD
+// touches, so a 3-node BDD costs the same allocations under 16 and under
+// 16,384 declared variables. The byte count reads the whole heap, so it
+// gets 4 KB of slack; a levels × workers page directory costs about
+// 390 KB.
+func TestSizeCostIndependentOfVars(t *testing.T) {
+	cost := func(vars int) (allocs, bytes float64) {
+		m := bfbdd.New(vars)
+		defer m.Close()
+		f := m.Var(0).And(m.Var(1)).And(m.Var(2))
+		if n := f.Size(); n != 3 {
+			t.Fatalf("%d vars: Size = %d, want 3", vars, n)
+		}
+		allocs = testing.AllocsPerRun(20, func() { f.Size() })
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f.Size()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := cost(16)
+	bigAllocs, bigBytes := cost(16384)
+	if bigAllocs != smallAllocs || bigBytes > smallBytes+4096 {
+		t.Fatalf("Size of a 3-node BDD: %.0f allocations, %.0f bytes under 16,384 variables; %.0f, %.0f under 16",
+			bigAllocs, bigBytes, smallAllocs, smallBytes)
 	}
 }
