@@ -14,6 +14,7 @@ package bfbdd_test
 //	ns/assign    per-assignment evaluation cost (the eval benchmarks)
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -315,4 +316,45 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRestore revives every mult-11 output the two ways a parked
+// session can come back (ROADMAP item 8): restore is RestoreManager from
+// an in-memory snapshot into a fresh manager; unspill is Unspill of the
+// same nodes after SpillAll, on a manager restored from that snapshot.
+func BenchmarkRestore(b *testing.B) {
+	me := multEvalSetup(b, 11)
+	var snap bytes.Buffer
+	if err := me.m.Snapshot(&snap, me.outs...); err != nil {
+		b.Fatal(err)
+	}
+	restore := func(b *testing.B, opts ...bfbdd.Option) *bfbdd.Manager {
+		m, _, err := bfbdd.RestoreManager(bytes.NewReader(snap.Bytes()), opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+	b.Run("restore", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m := restore(b)
+			b.StopTimer()
+			m.Close()
+			b.StartTimer()
+		}
+	})
+	b.Run("unspill", func(b *testing.B) {
+		m := restore(b, bfbdd.WithSpillDir(b.TempDir()))
+		defer m.Close()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := m.SpillAll(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if err := m.Unspill(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

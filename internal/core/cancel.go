@@ -118,7 +118,7 @@ func (k *Kernel) catchAbort() {
 }
 
 // abortTopLevel discards all transient build state after every worker has
-// quiesced from an aborted build: pending operator queues, reduce queues,
+// quiesced from an aborted build: pending operator queues, the reduce stack,
 // registered evaluation contexts, operator arenas, and the compute caches'
 // operator-handle entries. The node store and unique tables are untouched
 // (they only ever gain canonical nodes), so the kernel is immediately
@@ -129,9 +129,7 @@ func (k *Kernel) abortTopLevel() {
 			w.pending[i] = w.pending[i][:0]
 		}
 		w.pendingTotal = 0
-		for i := range w.curReduce {
-			w.curReduce[i] = w.curReduce[i][:0]
-		}
+		w.reduce = w.reduce[:0]
 		w.ctxMu.Lock()
 		w.ctxs = w.ctxs[:0]
 		w.ctxMu.Unlock()

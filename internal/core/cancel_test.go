@@ -40,11 +40,16 @@ func (c *countdownCtx) Err() error {
 // a dense, irregular function whose pairwise XORs cost many Shannon
 // expansions (random DNFs share little structure with each other).
 func randomDNF(k *Kernel, rng *rand.Rand, levels, terms, width int) node.Ref {
+	return randomDNFAt(k, rng, terms, width, func() int { return rng.Intn(levels) })
+}
+
+// randomDNFAt is randomDNF over the levels level returns.
+func randomDNFAt(k *Kernel, rng *rand.Rand, terms, width int, level func() int) node.Ref {
 	f := node.Zero
 	for t := 0; t < terms; t++ {
 		cube := node.One
 		for j := 0; j < width; j++ {
-			lvl := rng.Intn(levels)
+			lvl := level()
 			var lit node.Ref
 			if rng.Intn(2) == 1 {
 				lit = k.VarRef(lvl)

@@ -3,9 +3,12 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"bfbdd/internal/node"
+	"bfbdd/internal/stats"
 )
 
 // testEngines enumerates kernel configurations exercised by the
@@ -351,6 +354,57 @@ func TestStatsCounting(t *testing.T) {
 	k.ResetStats()
 	if k.TotalStats().Ops != 0 {
 		t.Fatal("ResetStats did not clear counters")
+	}
+}
+
+// TestStallCountsStolenWorkOnce drives one worker of a two-worker kernel
+// by hand: it expands an XOR until a context is pushed and then reduces at
+// once, so the context's groups are run by the stalled reducer, which
+// steals them back. Their own cycles count their expansion and reduction,
+// so the worker's phase times must fit in the wall time, and a stall that
+// ran a group is no idle wait: with no thief to wait for, the idle wait
+// is at most a few yields.
+func TestStallCountsStolenWorkOnce(t *testing.T) {
+	const L = 20
+	k := NewKernel(Options{Levels: L, Engine: EnginePar, Workers: 2, EvalThreshold: 64, GroupSize: 4, Stealing: true})
+	defer k.Close()
+	ref := NewKernel(Options{Levels: L, Engine: EngineDF})
+	defer ref.Close()
+	operands := func(k *Kernel) (node.Ref, node.Ref) {
+		rng := rand.New(rand.NewSource(3))
+		return randomDNF(k, rng, L, 64, 8), randomDNF(k, rng, L, 64, 8)
+	}
+	f, g := operands(k)
+	rf, rg := operands(ref)
+
+	w := k.workers[0]
+	before := w.st
+	t0 := time.Now()
+	root := w.preprocess(OpXor, f, g)
+	ec, _ := w.expand(true)
+	if ec == nil {
+		t.Fatal("the expansion pushed no context")
+	}
+	w.reduceAll(0)
+	wall := time.Since(t0)
+	w.unregisterCtx(ec)
+	got := k.CanonicalSignature([]node.Ref{w.opAt(opRef(root)).resultRef()})
+	if want := ref.CanonicalSignature([]node.Ref{ref.Apply(OpXor, rf, rg)}); !slices.Equal(got, want) {
+		t.Fatal("the result differs from depth-first")
+	}
+	k.endTopLevel()
+	phases := time.Duration(w.st.PhaseNs[stats.PhaseExpansion] + w.st.PhaseNs[stats.PhaseReduction] -
+		before.PhaseNs[stats.PhaseExpansion] - before.PhaseNs[stats.PhaseReduction])
+	steals, idle := w.st.Steals-before.Steals, time.Duration(w.st.StallNs-before.StallNs)
+	t.Logf("%d steals, phases %v, idle %v, wall %v", steals, phases, idle, wall)
+	if steals == 0 {
+		t.Fatal("the reducer stole no group")
+	}
+	if phases > wall {
+		t.Errorf("expansion and reduction add up to %v in %v", phases, wall)
+	}
+	if idle > wall/2 {
+		t.Errorf("idle wait %v is most of the %v: it counts the groups the stalls ran", idle, wall)
 	}
 }
 

@@ -382,7 +382,7 @@ func (k *Kernel) Close() {
 		w.opLogged = nil
 		w.cache = nil
 		w.pending = nil
-		w.curReduce = nil
+		w.reduce = nil
 		w.ctxs = nil
 	}
 	k.closeSpill()

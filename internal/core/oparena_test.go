@@ -151,6 +151,35 @@ func TestScopeReleaseStaleCacheHandle(t *testing.T) {
 // counts that keep a scope's nodes while a thief holds its groups.
 func TestScopeReleaseUnderThieves(t *testing.T) {
 	const L = 16
+	batchesUnderThieves(t, L, func(k *Kernel, rng *rand.Rand) node.Ref {
+		return randomDNF(k, rng, L, 24, 6)
+	})
+}
+
+// TestSparseLevelsUnderThieves is TestScopeReleaseUnderThieves on 4,096
+// declared levels with operands in two bands, the first and the last
+// eight levels, so every cycle's work skips thousands of empty levels:
+// expansion and context pushes between the bands, and reduction of the
+// runs on the reduce stack, stolen groups nesting theirs above.
+func TestSparseLevelsUnderThieves(t *testing.T) {
+	const L = 4096
+	batchesUnderThieves(t, L, func(k *Kernel, rng *rand.Rand) node.Ref {
+		return randomDNFAt(k, rng, 24, 6, func() int {
+			lvl := rng.Intn(16)
+			if lvl >= 8 {
+				lvl += L - 16
+			}
+			return lvl
+		})
+	})
+}
+
+// batchesUnderThieves runs two rounds of XOR and AND batches over twelve
+// operands on a 2-worker par kernel with threshold 8, groups of 2 and
+// Kernel.verifyScopes, and checks them against depth-first. The build
+// must push contexts and steal groups.
+func batchesUnderThieves(t *testing.T, L int, operand func(*Kernel, *rand.Rand) node.Ref) {
+	t.Helper()
 	ref := NewKernel(Options{Levels: L, Engine: EngineDF})
 	defer ref.Close()
 	k := NewKernel(Options{Levels: L, Engine: EnginePar, Workers: 2, EvalThreshold: 8, GroupSize: 2, Stealing: true})
@@ -160,7 +189,7 @@ func TestScopeReleaseUnderThieves(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		var fs []node.Ref
 		for i := 0; i < 12; i++ {
-			fs = append(fs, randomDNF(k, rng, L, 24, 6))
+			fs = append(fs, operand(k, rng))
 		}
 		return fs
 	}

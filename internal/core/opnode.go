@@ -75,12 +75,11 @@ const (
 )
 
 // opArena is the operator-node manager for one (worker, variable) pair.
-// Like the BDD node arenas, it allocates in blocks and is walked
-// contiguously, which is what makes the breadth-first queues cache
-// friendly; the arena itself doubles as backing storage for both the
-// operator queue and the reduce queue. Its blocks come from, and go back
-// to, the owning worker's pool (see worker.newOpBlock and
-// worker.truncateOps).
+// Like the BDD node arenas, it allocates in blocks, so the nodes one
+// expansion creates at a level sit side by side, in the order the level's
+// pending queue and the worker's reduce stack hold their handles. Its
+// blocks come from, and go back to, the owning worker's pool (see
+// worker.newOpBlock and worker.truncateOps).
 //
 // Only the owning worker allocates, but any peer resolves operator nodes
 // through at while the owner keeps allocating. The block table is

@@ -28,18 +28,10 @@ type evalContext struct {
 	depth  int // the pushing worker's scope depth
 }
 
-// ownerCtx pairs a pushed evalContext with the reduce queues that were
-// accumulated before the push; only the pushing worker touches the reduce
-// queues (when the context is popped).
-type ownerCtx struct {
-	ec     *evalContext
-	reduce [][]opRef
-}
-
 // worker is one construction process: it owns per-variable operator-node
-// arenas (which double as operator and reduce queues), a private compute
-// cache, a row of BDD-node arenas in the shared store, and a stack of
-// stealable evaluation contexts.
+// arenas, the queues of the nodes in them, a private compute cache, a row
+// of BDD-node arenas in the shared store, and a stack of stealable
+// evaluation contexts.
 type worker struct {
 	id int
 	k  *Kernel
@@ -63,9 +55,16 @@ type worker struct {
 	depth    int
 	stolen   [maxScopeDepth]atomic.Int32
 
-	pending      [][]opRef // per level: claimed ops awaiting expansion
+	// pending[level] holds the claimed operator nodes awaiting
+	// expansion, pendingTotal counts them, and shallowest is no deeper
+	// than the shallowest of them (enqueue lowers it). reduce stacks the
+	// expanded nodes awaiting reduction: each evalCycle reduces and pops
+	// what it pushed, and expansion runs top-down, so a cycle's part of
+	// the stack holds each level as one run.
+	pending      [][]opRef
 	pendingTotal int
-	curReduce    [][]opRef // per level: expanded ops awaiting reduction
+	shallowest   int
+	reduce       []opRef
 
 	nOps          int // Shannon steps since the last context push
 	checkCounter  int // countdown to the next steal-request poll
@@ -87,16 +86,15 @@ type worker struct {
 func newWorker(k *Kernel, id int) *worker {
 	L := k.opts.Levels
 	w := &worker{
-		id:        id,
-		k:         k,
-		cache:     cache.New(L, k.opts.CacheBits),
-		ops:       make([]opArena, L),
-		opLogged:  make([]uint64, L),
-		scope:     1,
-		scopes:    1,
-		pending:   make([][]opRef, L),
-		curReduce: make([][]opRef, L),
-		rng:       uint64(id)*0x9E3779B97F4A7C15 + 0x853C49E6748FEA9B,
+		id:       id,
+		k:        k,
+		cache:    cache.New(L, k.opts.CacheBits),
+		ops:      make([]opArena, L),
+		opLogged: make([]uint64, L),
+		scope:    1,
+		scopes:   1,
+		pending:  make([][]opRef, L),
+		rng:      uint64(id)*0x9E3779B97F4A7C15 + 0x853C49E6748FEA9B,
 	}
 	return w
 }
@@ -109,6 +107,9 @@ func (w *worker) opAt(h opRef) *opNode {
 // enqueue adds a claimed operator node to the pending (operator) queue of
 // its level.
 func (w *worker) enqueue(lvl int, h opRef) {
+	if w.pendingTotal == 0 || lvl < w.shallowest {
+		w.shallowest = lvl
+	}
 	w.pending[lvl] = append(w.pending[lvl], h)
 	w.pendingTotal++
 }
@@ -179,14 +180,15 @@ func (w *worker) shareRequested() bool {
 }
 
 // expand is the paper's expansion phase (Fig 5): process operator queues
-// from the highest- to the lowest-precedence variable, Shannon-expanding
-// every queued operation. When the evaluation threshold is exceeded — or
+// from the highest- to the lowest-precedence variable, from the shallowest
+// queued one until none is left, Shannon-expanding every queued operation
+// onto the reduce stack. When the evaluation threshold is exceeded — or
 // when idle workers request sharable work — the remaining operators are
 // partitioned into groups and the current context is pushed.
 //
 // Returns the pushed context, or nil if the queues drained completely.
 // allowPush=false (hybrid engine) reports overflow instead of pushing.
-func (w *worker) expand(allowPush bool) (pushed *ownerCtx, overflow bool) {
+func (w *worker) expand(allowPush bool) (pushed *evalContext, overflow bool) {
 	k := w.k
 	// The effective threshold can drop mid-build under memory pressure
 	// (budget degradation); re-read it at the poll cadence so a running
@@ -194,7 +196,7 @@ func (w *worker) expand(allowPush bool) (pushed *ownerCtx, overflow bool) {
 	// every Shannon step.
 	threshold := int(k.effThreshold.Load())
 	btr := k.btr // nil unless this build is traced
-	for lvl := 0; lvl < k.opts.Levels; lvl++ {
+	for lvl := w.shallowest; w.pendingTotal > 0; lvl++ {
 		q := w.pending[lvl]
 		var lvlStart time.Time
 		if btr != nil && len(q) > 0 {
@@ -207,7 +209,7 @@ func (w *worker) expand(allowPush bool) (pushed *ownerCtx, overflow bool) {
 			o.b0 = w.preprocess(o.op, fl, gl)
 			fh, gh := k.store.High(o.f, lvl), k.store.High(o.g, lvl)
 			o.b1 = w.preprocess(o.op, fh, gh)
-			w.curReduce[lvl] = append(w.curReduce[lvl], h)
+			w.reduce = append(w.reduce, h)
 			w.pendingTotal--
 			w.st.Ops++
 			w.nOps++
@@ -240,21 +242,22 @@ func (w *worker) expand(allowPush bool) (pushed *ownerCtx, overflow bool) {
 // pushContext implements Fig 5 lines 9–14: the remaining operators (the
 // unprocessed tail of the current level plus everything at lower
 // precedence) are released (opClaimed → opQueued), partitioned into small
-// groups, and published as a stealable context. The reduce queues built so
-// far move into the context, to be reduced when it is popped.
+// groups, and published as a stealable context. The nodes expanded so far
+// stay on the reduce stack, to be reduced when the context is popped.
 //
 // Only the worker's own operator nodes are released. Another worker's
 // nodes, from a group this one stole, stay in the pending queues for the
 // drain loop: the victim keeps them only while this worker's
 // runIsolated holds the group, so they must not pass on to a third
 // worker that could still hold them after it returns.
-func (w *worker) pushContext(lvl int, tail []opRef) *ownerCtx {
+func (w *worker) pushContext(lvl int, tail []opRef) *evalContext {
 	k := w.k
 	groupSize := k.opts.GroupSize
 	var groups [][]opRef
 	cur := make([]opRef, 0, groupSize)
 	kept := 0
 	release := func(l int, q []opRef) {
+		w.pendingTotal -= len(q)
 		foreign := w.pending[l][:0] // q is a suffix of pending[l]
 		for _, h := range q {
 			if h.worker() != w.id {
@@ -272,7 +275,7 @@ func (w *worker) pushContext(lvl int, tail []opRef) *ownerCtx {
 		kept += len(foreign)
 	}
 	release(lvl, tail)
-	for l := lvl + 1; l < k.opts.Levels; l++ {
+	for l := lvl + 1; w.pendingTotal > 0; l++ {
 		release(l, w.pending[l])
 	}
 	if len(cur) > 0 {
@@ -281,11 +284,9 @@ func (w *worker) pushContext(lvl int, tail []opRef) *ownerCtx {
 	w.pendingTotal = kept
 
 	ec := &evalContext{groups: groups, depth: w.depth}
-	oc := &ownerCtx{ec: ec, reduce: w.curReduce}
-	w.curReduce = make([][]opRef, k.opts.Levels)
 	w.registerCtx(ec)
 	w.st.ContextPushes++
-	return oc
+	return ec
 }
 
 func (w *worker) registerCtx(ec *evalContext) {
@@ -376,55 +377,53 @@ func (w *worker) claimGroup(g []opRef) {
 
 // evalCycle runs the pbf_op loop (Fig 4) for whatever is in the pending
 // queues: expand; if a context was pushed, drain its groups (each drained
-// group recursing through evalCycle), then pop it and reduce its queues;
-// otherwise reduce the current queues.
+// group recursing through evalCycle, above this cycle's part of the reduce
+// stack) and pop it; then reduce what this cycle expanded.
 func (w *worker) evalCycle() {
+	base := len(w.reduce)
 	t0 := time.Now()
-	oc, _ := w.expand(true)
+	ec, _ := w.expand(true)
 	w.st.AddPhase(stats.PhaseExpansion, time.Since(t0))
-	if oc == nil {
-		w.reduceAll(w.curReduce)
-		return
-	}
-	for {
+	for ec != nil {
 		// The first drained group also takes the stolen nodes that
 		// pushContext kept back; with no group left they run alone.
-		if g := w.takeOwnGroup(oc.ec); g != nil {
+		if g := w.takeOwnGroup(ec); g != nil {
 			w.claimGroup(g)
 		} else if w.pendingTotal == 0 {
+			w.unregisterCtx(ec)
+			w.st.ContextPops++
 			break
 		}
-		if w.pendingTotal > 0 {
-			s := w.enterScope()
-			w.evalCycle()
-			w.leaveScope(s)
-		}
+		s := w.enterScope()
+		w.evalCycle()
+		w.leaveScope(s)
 	}
-	w.unregisterCtx(oc.ec)
-	w.st.ContextPops++
-	// Pop: restore the context's reduce queues and reduce them. Stolen
-	// groups may still be in flight; reduceAll stalls (and helps) until
-	// their results arrive.
-	saved := w.curReduce
-	w.curReduce = oc.reduce
-	w.reduceAll(w.curReduce)
-	w.curReduce = saved
+	// Stolen groups may still be in flight; reduceAll stalls (and helps)
+	// until their results arrive.
+	w.reduceAll(base)
 }
 
-// reduceAll is the reduction phase (Fig 6): bottom-up over the variables,
-// resolving each expanded operator node's branches and creating canonical
-// BDD nodes in the per-variable unique tables. A pass over one variable
-// acquires that variable's lock once and produces all of this worker's new
-// nodes for the variable under it (§3.2).
-func (w *worker) reduceAll(rq [][]opRef) {
+// reduceAll is the reduction phase (Fig 6): it pops the reduce stack down
+// to base one run at a time, so bottom-up over the variables, resolving
+// each expanded operator node's branches and creating canonical BDD nodes
+// in the per-variable unique tables. A pass over one variable acquires
+// that variable's lock once and produces all of this worker's new nodes
+// for the variable under it (§3.2). The phase time leaves out the stolen
+// groups a stalled reducer runs, which their own cycles count.
+func (w *worker) reduceAll(base int) {
 	t0 := time.Now()
+	var helped time.Duration
 	k := w.k
 	btr := k.btr // nil unless this build is traced
-	for lvl := k.opts.Levels - 1; lvl >= 0; lvl-- {
-		q := rq[lvl]
-		if len(q) == 0 {
-			continue
+	for end := len(w.reduce); end > base; {
+		// Cycles nested in stallHelp push above len(w.reduce) and pop
+		// back, so the runs below it stay put until the final truncation.
+		start, lvl := end-1, w.reduce[end-1].level()
+		for start > base && w.reduce[start-1].level() == lvl {
+			start--
 		}
+		q := w.reduce[start:end]
+		end = start
 		// This pass allocates at lvl: bring it home if spilled, and warm
 		// the next levels of the sweep (two atomic loads when no tier or
 		// nothing spilled).
@@ -456,7 +455,8 @@ func (w *worker) reduceAll(rq [][]opRef) {
 			// unwound from an aborted build.
 			w.checkCancelNow()
 			w.st.Stalls++
-			if w.stallHelp() {
+			if ran, found := w.stallHelp(); found {
+				helped += ran
 				emptyRounds = 0
 				continue
 			}
@@ -473,7 +473,6 @@ func (w *worker) reduceAll(rq [][]opRef) {
 				emptyRounds = 0
 			}
 		}
-		rq[lvl] = rq[lvl][:0]
 		if btr != nil {
 			btr.Add(k.btrParent, "reduce", lvlStart, time.Now(),
 				trace.I("level", int64(lvl)), trace.I("ops", int64(lvlOps)), trace.I("worker", int64(w.id)))
@@ -486,7 +485,8 @@ func (w *worker) reduceAll(rq [][]opRef) {
 		w.checkCancelNow()
 		k.checkBudget()
 	}
-	w.st.AddPhase(stats.PhaseReduction, time.Since(t0))
+	w.reduce = w.reduce[:base]
+	w.st.AddPhase(stats.PhaseReduction, time.Since(t0)-helped)
 }
 
 // reducePass reduces every ready operator node in q, returning the ones
@@ -560,19 +560,19 @@ const stallEscalateRounds = 64
 
 // stallHelp is invoked when reduction is blocked on thief results: try to
 // steal (and fully process) a group; otherwise yield. Reports whether any
-// work was found.
-func (w *worker) stallHelp() bool {
+// work was found and how long running it took. Only a round that found
+// none counts as idle wait (StallNs).
+func (w *worker) stallHelp() (time.Duration, bool) {
 	t0 := time.Now()
-	found := false
 	if g, held := w.stealAny(); g != nil {
 		w.st.Steals++
+		t1 := time.Now()
 		w.runIsolated(g, held)
-		found = true
-	} else {
-		runtime.Gosched()
+		return time.Since(t1), true
 	}
+	runtime.Gosched()
 	w.st.StallNs += int64(time.Since(t0))
-	return found
+	return 0, false
 }
 
 // forceResolve computes the unresolved branches of the deferred operator
@@ -598,20 +598,20 @@ func (w *worker) forceResolve(deferred []opRef) {
 	}
 }
 
-// runIsolated processes a stolen group to completion in a fresh queue
-// environment and scope, leaving the worker's in-progress state
-// untouched. Stolen operator nodes get their results written and
+// runIsolated processes a stolen group to completion in its own scope and
+// evaluation cycle. A worker steals only from a reducer's stall or the idle
+// loop, when its pending queues are empty, and the cycle leaves them empty
+// and pops what it pushed on the reduce stack, so only the step count
+// needs saving. Stolen operator nodes get their results written and
 // published via their state word, which is how they return to their
 // owner (§3.3); then held, the victim's count of the group (nil for a
 // group of the worker's own), is decremented.
 func (w *worker) runIsolated(g []opRef, held *atomic.Int32) {
-	savedPending, savedTotal := w.pending, w.pendingTotal
-	savedReduce, savedNOps := w.curReduce, w.nOps
-	L := w.k.opts.Levels
-	w.pending = make([][]opRef, L)
-	w.curReduce = make([][]opRef, L)
-	w.pendingTotal, w.nOps = 0, 0
-
+	if w.pendingTotal != 0 {
+		panic(internalf("runIsolated", "worker %d steals with %d operator nodes pending", w.id, w.pendingTotal))
+	}
+	savedNOps := w.nOps
+	w.nOps = 0
 	w.claimGroup(g)
 	w.st.StolenOps += uint64(w.pendingTotal)
 	if w.pendingTotal > 0 {
@@ -620,8 +620,7 @@ func (w *worker) runIsolated(g []opRef, held *atomic.Int32) {
 		w.leaveScope(s)
 	}
 
-	w.pending, w.pendingTotal = savedPending, savedTotal
-	w.curReduce, w.nOps = savedReduce, savedNOps
+	w.nOps = savedNOps
 	if held != nil {
 		held.Add(-1)
 	}
@@ -746,7 +745,7 @@ func (w *worker) hybridApply(op Op, f, g node.Ref) node.Ref {
 			break
 		}
 		// Depth-first drain of everything still pending.
-		for lvl := 0; lvl < w.k.opts.Levels; lvl++ {
+		for lvl := w.shallowest; w.pendingTotal > 0; lvl++ {
 			q := w.pending[lvl]
 			for _, h := range q {
 				o := w.opAt(h)
@@ -760,7 +759,7 @@ func (w *worker) hybridApply(op Op, f, g node.Ref) node.Ref {
 			w.pending[lvl] = q[:0]
 		}
 	}
-	w.reduceAll(w.curReduce)
+	w.reduceAll(0)
 	o := w.opAt(opRef(root))
 	if o.state.Load() != opDone {
 		panic(internalf("hybridApply", "root not reduced"))

@@ -61,8 +61,10 @@ type Worker struct {
 	// computed itself (depth-first) after repeated steal-less rounds,
 	// breaking potential cross-worker wait cycles.
 	ForcedOps uint64
-	// StallNs accumulates time spent waiting (including helping) for
-	// thief results during reduction.
+	// StallNs accumulates the idle wait of reducers stalled on thief
+	// results: the steal attempts that found nothing and the yields after
+	// them. It is part of the reduction phase; a stolen group a stalled
+	// reducer runs is not, as its own cycle counts it.
 	StallNs int64
 	// LockWaitNs accumulates time spent waiting for unique-table locks
 	// (each table also keeps its own total, the per-variable Fig 16).

@@ -309,3 +309,42 @@ func TestSizeCostIndependentOfVars(t *testing.T) {
 			bigAllocs, bigBytes, smallAllocs, smallBytes)
 	}
 }
+
+// TestApplyCostIndependentOfVars: the breadth-first engine walks only the
+// levels that hold work, so f.Or(g) of a 24-variable XOR and AND, with a
+// threshold low enough that every call pushes evaluation contexts, costs
+// the same allocations under 24 and under 16,384 declared variables. The
+// byte count reads the whole heap, so it gets 4 KB of slack; a queue set
+// of one slice per declared level costs about 390 KB a push.
+func TestApplyCostIndependentOfVars(t *testing.T) {
+	cost := func(vars int) (allocs, bytes float64) {
+		m := bfbdd.New(vars, bfbdd.WithEngine(bfbdd.EnginePBF), bfbdd.WithEvalThreshold(8))
+		defer m.Close()
+		f, g := m.Var(0), m.Var(0)
+		for i := 1; i < 24; i++ {
+			f, g = f.Xor(m.Var(i)), g.And(m.Var(i))
+		}
+		apply := func() { f.Or(g).Free() }
+		apply()
+		pushes := m.Stats().ContextPushes
+		allocs = testing.AllocsPerRun(20, apply)
+		if m.Stats().ContextPushes < pushes+20 {
+			t.Fatalf("%d vars: %d context pushes in 21 calls, want at least one a call",
+				vars, m.Stats().ContextPushes-pushes)
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			apply()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := cost(24)
+	bigAllocs, bigBytes := cost(16384)
+	if bigAllocs != smallAllocs || bigBytes > smallBytes+4096 {
+		t.Fatalf("f.Or(g) over 24 levels: %.0f allocations, %.0f bytes under 16,384 variables; %.0f, %.0f under 24",
+			bigAllocs, bigBytes, smallAllocs, smallBytes)
+	}
+}
